@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .airy import a_2star
 from .errors import DegeneracyError, DomainError, HorizonError, NumericError
 from .sturm import SolverConfig, principal_eigen
 
 CHUNK = 4096
-_A2S = 2.0 ** (1.0 / 3.0) * 2.3381074104597670  # first Ai zero, threshold for y
+_A2S = a_2star()  # 2^{1/3} |a_0|, the threshold for y
 
 _SCHEMES = ("euler_abs", "exact_besq0")
 

@@ -27,12 +27,11 @@ from dataclasses import dataclass, fields
 
 from scipy.optimize import brentq
 
-from .airy import airy_zeros
+from .airy import a_2star as _airy_a_2star
 from .errors import NumericError, SolverError
 from .sturm import SolverConfig, principal_eigen, rho_derivative
 
-_CBRT2 = 2.0 ** (1.0 / 3.0)
-_FORMULA_VERSION = 1
+_FORMULA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def compute_constants(cfg: SolverConfig | None = None, use_cache: bool = True) -
     b_star = 1.0 / r1_star
     c_star = math.sqrt(r2_star) / r1_star ** 1.5
 
-    a_2star = _CBRT2 * (-airy_zeros(1).zeros[0])
+    a_2star = _airy_a_2star()
     r1_2star, _ = rho_derivative(a_2star, cfg)
     b_2star = 1.0 / r1_2star
     rho_2star = principal_eigen(a_2star, cfg).rho

@@ -30,11 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .airy import airy_batch, airy_zeros, eigenbasis
+from .airy import CBRT2, INV_CBRT2, a_2star, airy_batch, eigenbasis
 from .errors import AccuracyError, DomainError
-
-CBRT2 = 2.0 ** (1.0 / 3.0)
-INV_CBRT2 = 2.0 ** (-1.0 / 3.0)
 
 # Green kernel normalization: G(u,v) = GREEN_K * y1(min) * y2(max) where
 # y1, y2 solve 2y'' = u y with y1(0) = 0 and y2 bounded; the Wronskian of
@@ -82,10 +79,10 @@ def y_kernel(h, a: float):
     defining the object.
     """
     a = float(a)
-    a_2star = CBRT2 * (-airy_zeros(1).zeros[0])
-    if not math.isfinite(a) or a >= a_2star - 1e-9:
+    a_2s = a_2star()
+    if not math.isfinite(a) or a >= a_2s - 1e-9:
         raise DomainError(
-            f"y_kernel requires a < a_2star = {a_2star:.9f}, got {a!r}")
+            f"y_kernel requires a < a_2star = {a_2s:.9f}, got {a!r}")
     h_arr = np.atleast_1d(np.asarray(h, dtype=float))
     if np.any(h_arr < 0.0) or not np.all(np.isfinite(h_arr)):
         raise DomainError("y_kernel requires finite h >= 0")
@@ -177,10 +174,10 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
     bound about 5e-6 relative to y_a(h) = O(1).
     """
     a = float(a)
-    a_2star = CBRT2 * (-airy_zeros(1).zeros[0])
-    if not math.isfinite(a) or a >= a_2star - 1e-9:
+    a_2s = a_2star()
+    if not math.isfinite(a) or a >= a_2s - 1e-9:
         raise DomainError(
-            f"laplace_reconstruct requires a < a_2star = {a_2star:.9f}, got {a!r}")
+            f"laplace_reconstruct requires a < a_2star = {a_2s:.9f}, got {a!r}")
     h_arr = np.atleast_1d(np.asarray(h, dtype=float))
     if np.any(h_arr <= 0.0) or not np.all(np.isfinite(h_arr)):
         raise DomainError("laplace_reconstruct requires finite h > 0")
@@ -240,7 +237,7 @@ def _green_pair(u: np.ndarray):
     y1 vanishes at 0, y2 decays at infinity."""
     z = INV_CBRT2 * u
     ai, _, bi, _ = airy_batch(z)
-    r = 0.6149266274460007 / 0.3550280538878172  # Bi(0)/Ai(0)
+    r = math.sqrt(3.0)  # Bi(0)/Ai(0)
     y1 = bi - r * ai
     y2 = ai
     return y1, y2

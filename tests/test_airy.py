@@ -17,7 +17,7 @@ from edwards1d.airy import (
     basis_gram,
     eigenbasis,
 )
-from edwards1d.errors import DomainError, RangeError
+from edwards1d.errors import DomainError, RangeError, SolverError
 
 from _oracles import airy_ref, airy_zero_ref
 
@@ -89,14 +89,34 @@ def test_accuracy_sweep_against_mpmath():
 
 
 def test_crossover_is_seamless():
-    # both evaluation methods must agree at the switch radius itself
-    from edwards1d.airy import _asym_neg, _asym_pos, _series_dd
+    # scipy (inside the switch) and the asymptotics (outside) must agree at
+    # the switch radius itself
+    from scipy.special import airy
+
+    from edwards1d.airy import _asym_neg, _asym_pos
 
     x = np.array([X_SWITCH])
-    for srs, asym in ((_series_dd(x), _asym_pos(x)),
-                      (_series_dd(-x), _asym_neg(-x))):
-        for a, b in zip(srs, asym):
+    for inner, asym in ((airy(x), _asym_pos(x)),
+                        (airy(-x), _asym_neg(-x))):
+        for a, b in zip(inner, asym):
             assert abs(a[0] - b[0]) <= 1e-11 * max(abs(float(a[0])), 1e-13)
+
+
+@pytest.mark.parametrize("xs", [np.linspace(-200.0, -X_SWITCH, 400),
+                                -np.geomspace(200.0, 1e4, 60)],
+                         ids=["to-200", "to-1e4"])
+def test_asymptotic_branch_against_mpmath(xs):
+    # The phase zeta - pi/4 carries an absolute error of a few eps * zeta, so
+    # the error is bounded relative to the envelope, not to the value.
+    eps = np.finfo(np.float64).eps
+    z = -xs
+    zeta = (2.0 / 3.0) * z**1.5
+    envs = (z**-0.25, z**0.25, z**-0.25, z**0.25)  # Ai, Ai', Bi, Bi'
+    got = airy_batch(xs)
+    ref = np.array([airy_ref(float(x)) for x in xs]).T
+    for val, r, env in zip(got, ref, envs):
+        bound = 4.0 * eps * (1.0 + zeta) * env / math.sqrt(math.pi)
+        assert np.all(np.abs(val - r) <= bound)
 
 
 def test_wronskian_grid():
@@ -162,6 +182,32 @@ def test_zero_residuals_and_ordering():
     # Ai' alternates sign at consecutive zeros, so zeros of Ai' interlace
     assert np.all(aip[::2] > 0.0)
     assert np.all(aip[1::2] < 0.0)
+
+
+def test_zeros_within_two_ulps():
+    tab = airy_zeros(201)
+    for k in (0, 1, 2, 3, 4, 5, 50, 150, 200):
+        ref = airy_zero_ref(k)
+        assert abs(tab.zeros[k] - ref) <= 2.0 * np.spacing(abs(ref)), k
+
+
+def test_zero_finder_fails_loudly(monkeypatch):
+    import edwards1d.airy as airy_mod
+
+    guess = airy_mod._zero_guess
+    bad_guesses = (
+        lambda k: guess(k // 2),  # two guesses on the same zero
+        lambda k: guess(k[[0, 3, 2, 1]]),  # out of order, signs of Ai' still fit
+        lambda k: guess(k + 1),  # decreasing, but shifted by one zero
+    )
+    for bad in bad_guesses:
+        monkeypatch.setattr(airy_mod, "_zero_guess", bad)
+        with pytest.raises(SolverError, match="wrong zeros"):
+            airy_zeros(4)
+    # a guess Newton cannot polish
+    monkeypatch.setattr(airy_mod, "_zero_guess", lambda k: np.full_like(k, np.nan))
+    with pytest.raises(SolverError, match="converge"):
+        airy_zeros(3)
 
 
 def test_interlacing_with_aip_zeros():

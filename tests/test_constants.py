@@ -51,6 +51,12 @@ def test_a_2star_closed_form(consts):
     assert abs(consts.a_2star - 2.0 ** (1.0 / 3.0) * (-zeros.zeros[0])) < 1e-13
 
 
+def test_besselsim_threshold_is_a_2star(consts):
+    from edwards1d.besselsim import _A2S
+
+    assert _A2S == consts.a_2star
+
+
 def test_root_property(consts):
     assert abs(principal_eigen(consts.a_star).rho) < 1e-7
 
