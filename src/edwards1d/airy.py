@@ -12,9 +12,11 @@ Beyond X_SWITCH the classical asymptotic expansions take over (Poincare
 series in xi = (2/3)|x|^{3/2}; oscillatory sin/cos(xi - pi/4) forms on the
 negative axis).  At xi = (2/3)*27 = 18 their smallest term is ~2e-16
 relative, so both branches agree at the switch to ~3e-14 relative.  scipy
-is not used there: past |x| = 10 it goes through AMOS, which is about three
-times slower than these series on the long negative-axis batches of the
-spectral kernels.
+is not used there: past |x| = 10 it goes through AMOS, which is slower than
+these series on both sides (about three times on the long negative-axis
+batches of the spectral kernels; on their x > 9 batches, 1.9% of the
+arguments, 0.37 s against 0.21 s per benchmark run), and which returns NaN
+for Bi, Bi' past x ~ 104 instead of inf.
 
 Accuracy of the asymptotic branch.  On the positive axis it keeps full
 float64 relative accuracy.  On the negative axis the phase zeta - pi/4,

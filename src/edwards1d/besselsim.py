@@ -32,7 +32,6 @@ from .errors import DegeneracyError, DomainError, HorizonError, NumericError
 from .sturm import SolverConfig, principal_eigen
 
 CHUNK = 4096
-_A2S = a_2star()  # 2^{1/3} |a_0|, the threshold for y
 
 _SCHEMES = ("euler_abs", "exact_besq0")
 
@@ -272,9 +271,10 @@ def estimate_y(a: float, h0: float, cfg: SimConfig) -> McEstimate:
     exp(a A - Q) with A, Q read at its absorption time.
     """
     a = float(a)
-    if not math.isfinite(a) or a >= _A2S:
-        raise DomainError(f"estimate_y requires a < {_A2S:.9f}, got {a!r}")
-    if _A2S - a < 0.2:
+    a_2s = a_2star()  # 2^{1/3} |a_0|, the threshold for y
+    if not math.isfinite(a) or a >= a_2s:
+        raise DomainError(f"estimate_y requires a < {a_2s:.9f}, got {a!r}")
+    if a_2s - a < 0.2:
         warnings.warn("a is within 0.2 of the threshold; weights are heavy-tailed",
                       RuntimeWarning, stacklevel=2)
     h0 = float(h0)

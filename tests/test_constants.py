@@ -52,9 +52,15 @@ def test_a_2star_closed_form(consts):
 
 
 def test_besselsim_threshold_is_a_2star(consts):
-    from edwards1d.besselsim import _A2S
+    # h0 = 0 returns right after the domain check, so no path is simulated
+    from edwards1d.besselsim import SimConfig, estimate_y
+    from edwards1d.errors import DomainError
 
-    assert _A2S == consts.a_2star
+    with pytest.raises(DomainError):
+        estimate_y(consts.a_2star, 0.0, SimConfig())
+    with pytest.warns(RuntimeWarning):
+        below = estimate_y(math.nextafter(consts.a_2star, 0.0), 0.0, SimConfig())
+    assert below.mean == 1.0
 
 
 def test_root_property(consts):
