@@ -15,8 +15,16 @@ estimators that cross-validate the deterministic machinery:
   * first_passage_density: the closed-form law of A(infinity) under BESQ0.
 
 Randomness is counter-based (Philox) keyed by (seed, chunk index) over
-fixed chunks of 4096 paths, and every reduction runs in chunk order, so
-results are bit-identical regardless of how chunks are scheduled.
+fixed chunks of CHUNK (4096) paths, and every reduction runs in chunk
+order, so results are bit-identical regardless of how chunks are
+scheduled, and the first k chunks of a run are the same paths at any
+larger n_paths.
+
+The private Monte Carlo core here is shared with edwardsmc: the chunk
+driver _chunks, the Euler step _besq_step (drift 0, 2 or the
+eigenfunction drift, trapezoid A and Q), the absorbed-run integrator
+_absorbed_run with its stage schedule as input, and the equilibrium
+draw _equilibrium_draw.
 """
 
 from __future__ import annotations
@@ -113,6 +121,38 @@ def _chunk_sizes(n: int):
     return sizes
 
 
+def _chunks(n: int, seed: int, fn):
+    """Run fn(generator, m) on each chunk of n paths and join the results.
+
+    Chunk ci holds m = _chunk_sizes(n)[ci] paths and draws from its own
+    (seed, ci) stream.  fn returns a tuple of arrays with one row per
+    path; the rows are concatenated in chunk order.
+    """
+    parts = [fn(_rng(seed, ci), m) for ci, m in enumerate(_chunk_sizes(n))]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _besq_step(g: np.random.Generator, x: np.ndarray, dt: float, drift=None,
+               area=None, quad=None) -> np.ndarray:
+    """One full-truncation Euler step of dX = 2 sqrt(X) dW + drift dt.
+
+    Draws one increment per entry of x from g and floors the new state at
+    0.  drift is None (dimension 0), a number (2 for dimension 2) or an
+    array (the eigenfunction drift).  When given, area and quad receive
+    the trapezoid increments of int X dv and int X^2 dv in place.
+    """
+    dw = g.standard_normal(x.shape) * math.sqrt(dt)
+    xn = x + 2.0 * np.sqrt(np.maximum(x, 0.0)) * dw
+    if drift is not None:
+        xn += drift * dt
+    np.maximum(xn, 0.0, out=xn)
+    if area is not None:
+        area += 0.5 * (x + xn) * dt
+    if quad is not None:
+        quad += 0.5 * (x * x + xn * xn) * dt
+    return xn
+
+
 def simulate_besq(dim: int, h0: float, t_end: float, cfg: SimConfig) -> PathFunctionalBatch:
     """Simulate BESQ paths of dimension 0 or 2 up to t_end.
 
@@ -140,30 +180,24 @@ def simulate_besq(dim: int, h0: float, t_end: float, cfg: SimConfig) -> PathFunc
     if cfg.scheme == "exact_besq0":
         if dim != 0:
             raise DomainError("scheme exact_besq0 requires dim 0")
-        terminal = np.empty(n)
-        pos = 0
-        for ci, m in enumerate(_chunk_sizes(n)):
-            g = _rng(cfg.seed, ci)
+
+        def exact_chunk(g, m):
             counts = g.poisson(h0 / (2.0 * t_end), size=m)
             vals = np.zeros(m)
             hit = counts > 0
             if np.any(hit):
                 vals[hit] = g.gamma(counts[hit].astype(float)) * 2.0 * t_end
-            terminal[pos:pos + m] = vals
-            pos += m
+            return (vals,)
+
+        terminal, = _chunks(n, cfg.seed, exact_chunk)
         nanarr = np.full(n, np.nan)
         return PathFunctionalBatch(terminal=terminal, additive=nanarr.copy(),
                                    quad=nanarr.copy(), absorbed_at=nanarr,
                                    dt=cfg.dt, t_end=t_end, seed=cfg.seed)
 
-    terminal = np.empty(n)
-    additive = np.empty(n)
-    quad = np.empty(n)
-    absorbed = np.empty(n)
-    pos = 0
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
-    for ci, m in enumerate(_chunk_sizes(n)):
-        g = _rng(cfg.seed, ci)
+
+    def euler_chunk(g, m):
         x = np.full(m, h0)
         a_acc = np.zeros(m)
         q_acc = np.zeros(m)
@@ -171,97 +205,95 @@ def simulate_besq(dim: int, h0: float, t_end: float, cfg: SimConfig) -> PathFunc
         t = 0.0
         for step in range(n_steps):
             dt = min(cfg.dt, t_end - t)
-            dw = g.standard_normal(m) * math.sqrt(dt)
-            xn = x + 2.0 * np.sqrt(np.maximum(x, 0.0)) * dw
-            if dim == 2:
-                xn += 2.0 * dt
-                np.maximum(xn, 0.0, out=xn)
-            else:
-                dead = ~np.isnan(t_abs)
-                newly = (xn <= 0.0) & ~dead
-                t_abs[newly] = t + dt
-                xn[newly | dead] = 0.0
-            if not np.all(np.isfinite(xn)):
+            x = _besq_step(g, x, dt, 2.0 if dim == 2 else None, a_acc, q_acc)
+            if not np.all(np.isfinite(x)):
                 raise NumericError(f"non-finite state at step {step}")
-            a_acc += 0.5 * (x + xn) * dt
-            q_acc += 0.5 * (x * x + xn * xn) * dt
-            x = xn
+            if dim == 0:
+                t_abs[(x <= 0.0) & np.isnan(t_abs)] = t + dt
             t += dt
-        terminal[pos:pos + m] = x
-        additive[pos:pos + m] = a_acc
-        quad[pos:pos + m] = q_acc
-        absorbed[pos:pos + m] = t_abs
-        pos += m
+        return x, a_acc, q_acc, t_abs
+
+    terminal, additive, quad, absorbed = _chunks(n, cfg.seed, euler_chunk)
     return PathFunctionalBatch(terminal=terminal, additive=additive, quad=quad,
                                absorbed_at=absorbed, dt=cfg.dt, t_end=t_end,
                                seed=cfg.seed)
 
 
-def _run_to_absorption(h0: float, cfg: SimConfig, max_steps: int = 10_000):
-    """BESQ0 until (almost) every path is absorbed.
+def _absorbed_run(g: np.random.Generator, h0: np.ndarray, stages):
+    """BESQ0 from the starts h0 until every path is absorbed at 0.
 
-    Runs in stages whose horizon and time step both double, so the
-    straggler tail (unabsorbed fraction decays like h0/2t) is brought
-    below 1e-4 within the step budget.  Returns per-path (additive,
-    quad, absorbed_time, alive_mask).  Stragglers keep their partial
-    functionals; callers weight them by e^{-quad}, which is far below
-    double-precision resolution for the high excursions that survive,
-    so the truncation does not bias weighted estimates.
+    stages yields (n_steps, dt): each stage runs the paths alive at its
+    start for n_steps steps of size dt, and the paths absorbed during the
+    stage are dropped at its end, so later stages draw for the survivors
+    only.  Stops when no path is alive or the stages run out.  Returns
+    per-path (A, Q, alive): A = int X dv and Q = int X^2 dv up to
+    absorption, or up to the end of the last stage for the paths still
+    alive.
     """
-    n = cfg.n_paths
-    additive = np.empty(n)
-    quad = np.empty(n)
-    absorbed = np.empty(n)
-    alive_out = np.zeros(n, dtype=bool)
-    pos = 0
-    for ci, m in enumerate(_chunk_sizes(n)):
-        g = _rng(cfg.seed, ci)
-        x = np.full(m, h0)
-        a_acc = np.zeros(m)
-        q_acc = np.zeros(m)
-        t_abs = np.full(m, np.nan)
-        alive = np.ones(m, dtype=bool)
-        t = 0.0
-        dt = cfg.dt
-        horizon = max(1.0, 32.0 * cfg.dt)
-        steps = 0
-        while steps < max_steps and np.any(alive):
-            n_stage = int(round((horizon - t) / dt))
-            idx = np.flatnonzero(alive)
-            xa = x[idx]
-            aa = a_acc[idx]
-            qa = q_acc[idx]
-            ta = np.full(len(idx), np.nan)
-            for _ in range(n_stage):
-                steps += 1
-                live = np.isnan(ta)
-                dw = g.standard_normal(len(idx)) * math.sqrt(dt)
-                xn = xa + 2.0 * np.sqrt(np.maximum(xa, 0.0)) * dw
-                xn[~live] = 0.0
-                newly = (xn <= 0.0) & live
-                ta[newly] = t + dt
-                xn[newly] = 0.0
-                aa += 0.5 * (xa + xn) * dt
-                qa += 0.5 * (xa * xa + xn * xn) * dt
-                xa = xn
-                t += dt
-                if steps >= max_steps:
-                    break
-            x[idx] = xa
-            a_acc[idx] = aa
-            q_acc[idx] = qa
-            t_abs[idx] = ta
-            alive = np.isnan(t_abs)
-            if np.count_nonzero(alive) < 1e-4 * m:
-                break
-            horizon *= 2.0
-            dt *= 2.0
-        additive[pos:pos + m] = a_acc
-        quad[pos:pos + m] = q_acc
-        absorbed[pos:pos + m] = t_abs
-        alive_out[pos:pos + m] = alive
-        pos += m
-    return additive, quad, absorbed, alive_out
+    m = len(h0)
+    area = np.zeros(m)
+    quad = np.zeros(m)
+    idx = np.flatnonzero(h0 > 0.0)
+    x = h0[idx].astype(float)
+    for n_steps, dt in stages:
+        if not len(idx):
+            break
+        a_live = area[idx]
+        q_live = quad[idx]
+        for _ in range(n_steps):
+            x = _besq_step(g, x, dt, area=a_live, quad=q_live)
+        area[idx] = a_live
+        quad[idx] = q_live
+        live = x > 0.0
+        idx = idx[live]
+        x = x[live]
+    alive = np.zeros(m, dtype=bool)
+    alive[idx] = True
+    return area, quad, alive
+
+
+def _doubling_stages(dt: float):
+    """The estimators' schedule for _absorbed_run.
+
+    The first stage runs to horizon max(1, 32 dt); then horizon and time
+    step both double, so the straggler tail (the unabsorbed fraction
+    decays like h0/2t) is brought down within 10,000 steps in all.  A
+    chunk holds at most CHUNK < 10^4 paths, so stopping when no path is
+    alive is the rule "below 1e-4 of the chunk unabsorbed".
+    """
+    t = 0.0
+    horizon = max(1.0, 32.0 * dt)
+    left = 10_000
+    while left:
+        n_stage = min(int(round((horizon - t) / dt)), left)
+        yield n_stage, dt
+        left -= n_stage
+        # t is summed step by step: the next stage's (horizon - t) / dt can
+        # land next to a half-integer (312.4999999999962 at dt = 0.0016),
+        # where the stage length depends on the last bits of t
+        for _ in range(n_stage):
+            t += dt
+        horizon *= 2.0
+        dt *= 2.0
+
+
+def _absorbed_functionals(h0: float, cfg: SimConfig):
+    """Per-path (A, Q) of cfg.n_paths BESQ0 paths from h0 up to absorption.
+
+    Stragglers keep their partial functionals; callers weight them by
+    e^{-quad}, which is far below double-precision resolution for the
+    high excursions that survive, so the truncation does not bias
+    weighted estimates.  Raises HorizonError when more than 1% of the
+    paths are unabsorbed at the step cap.
+    """
+    additive, quad, alive = _chunks(
+        cfg.n_paths, cfg.seed,
+        lambda g, m: _absorbed_run(g, np.full(m, h0), _doubling_stages(cfg.dt)))
+    frac = np.count_nonzero(alive) / cfg.n_paths
+    if frac > 0.01:
+        raise HorizonError(
+            f"{frac:.1%} of paths unabsorbed at the step cap; increase dt")
+    return additive, quad
 
 
 def estimate_y(a: float, h0: float, cfg: SimConfig) -> McEstimate:
@@ -282,11 +314,7 @@ def estimate_y(a: float, h0: float, cfg: SimConfig) -> McEstimate:
         raise DomainError(f"h0 must be finite and >= 0, got {h0!r}")
     if h0 == 0.0:
         return McEstimate(mean=1.0, se=0.0, n=cfg.n_paths, seed=cfg.seed)
-    additive, quad, _, alive = _run_to_absorption(h0, cfg)
-    frac = np.count_nonzero(alive) / cfg.n_paths
-    if frac > 0.01:
-        raise HorizonError(
-            f"{frac:.1%} of paths unabsorbed at the step cap; increase dt or budget")
+    additive, quad = _absorbed_functionals(h0, cfg)
     w = np.exp(a * additive - quad)
     mean = float(np.mean(w))
     se = float(np.std(w) / math.sqrt(cfg.n_paths))
@@ -326,11 +354,7 @@ def estimate_w(h0: float, t_bins, cfg: SimConfig) -> WBinnedEstimate:
         return WBinnedEstimate(edges=edges, density=zeros, se=zeros.copy(),
                                total_mass=1.0, total_se=0.0,
                                n=cfg.n_paths, seed=cfg.seed)
-    additive, quad, _, alive = _run_to_absorption(h0, cfg)
-    frac = np.count_nonzero(alive) / cfg.n_paths
-    if frac > 0.01:
-        raise HorizonError(
-            f"{frac:.1%} of paths unabsorbed at the step cap; increase dt or budget")
+    additive, quad = _absorbed_functionals(h0, cfg)
     w = np.exp(-quad)
     n = cfg.n_paths
     which = np.digitize(additive, edges) - 1
@@ -367,6 +391,17 @@ class TiltedBatch:
         return float(np.sum(w * values) / np.sum(w))
 
 
+def _equilibrium_draw(sol):
+    """Inverse-CDF draws from x_a(h)^2 dh on the grid of the solution sol."""
+    cdf = np.cumsum(sol.weights * sol.x ** 2)
+    cdf = cdf / cdf[-1]
+
+    def draw(g: np.random.Generator, size: int) -> np.ndarray:
+        return np.interp(g.random(size), cdf, sol.h)
+
+    return draw
+
+
 def equilibrium_sampler(a: float, cfg: SolverConfig | None = None):
     """Inverse-CDF sampler for the equilibrium density x_a(h)^2 dh.
 
@@ -374,15 +409,7 @@ def equilibrium_sampler(a: float, cfg: SolverConfig | None = None):
     points and sol is the eigenfunction solution used for evaluation.
     """
     sol = principal_eigen(a, cfg)
-    mass = sol.weights * sol.x ** 2
-    cdf = np.cumsum(mass)
-    cdf = cdf / cdf[-1]
-
-    def draw(g: np.random.Generator, size: int) -> np.ndarray:
-        u = g.random(size)
-        return np.interp(u, cdf, sol.h)
-
-    return draw, sol
+    return _equilibrium_draw(sol), sol
 
 
 def simulate_tilted(a: float, h0, t_end: float, cfg: SimConfig,
@@ -423,29 +450,24 @@ def simulate_tilted(a: float, h0, t_end: float, cfg: SimConfig,
         if not (math.isfinite(h0) and h0 >= 0.0):
             raise DomainError(f"h0 must be finite and >= 0, got {h0!r}")
 
-    n = cfg.n_paths
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
     rec_steps = np.minimum(np.round(times / cfg.dt).astype(int), n_steps)
-    x_out = np.empty((n, len(times)))
-    lw_out = np.empty((n, len(times)))
-    x0_out = np.empty(n)
-    pos = 0
-    for ci, m in enumerate(_chunk_sizes(n)):
-        g = _rng(cfg.seed, ci)
-        x = draw(g, m) if equil else np.full(m, h0)
-        x0 = x.copy()
+    # beyond the solver box x_a is below double precision; flooring the
+    # interpolation keeps the log finite (such paths carry no weight)
+    floor = 1e-300
+
+    def chunk(g, m):
+        x0 = draw(g, m) if equil else np.full(m, h0)
         log_x0 = np.log(np.interp(x0, sol.h, sol.x))
-        # beyond the solver box x_a is below double precision; flooring the
-        # interpolation keeps the log finite (such paths carry no weight)
-        floor = 1e-300
+        x_rec = np.empty((m, len(times)))
+        lw_rec = np.empty((m, len(times)))
+        x = x0
         acc = np.zeros(m)  # int (a X - X^2) dv, trapezoid
         t = 0.0
         rec_i = 0
         for step in range(1, n_steps + 1):
             dt = min(cfg.dt, t_end - t)
-            dw = g.standard_normal(m) * math.sqrt(dt)
-            xn = x + 2.0 * np.sqrt(np.maximum(x, 0.0)) * dw + 2.0 * dt
-            np.maximum(xn, 0.0, out=xn)
+            xn = _besq_step(g, x, dt, 2.0)
             if not np.all(np.isfinite(xn)):
                 raise NumericError(f"non-finite state at step {step}")
             f_old = a * x - x * x
@@ -454,14 +476,16 @@ def simulate_tilted(a: float, h0, t_end: float, cfg: SimConfig,
             x = xn
             t += dt
             while rec_i < len(times) and rec_steps[rec_i] == step:
-                lw = (acc - sol.rho * t
-                      + np.log(np.maximum(np.interp(x, sol.h, sol.x), floor))
-                      - log_x0)
-                x_out[pos:pos + m, rec_i] = x
-                lw_out[pos:pos + m, rec_i] = lw
+                x_rec[:, rec_i] = x
+                lw_rec[:, rec_i] = (
+                    acc - sol.rho * t
+                    + np.log(np.maximum(np.interp(x, sol.h, sol.x), floor))
+                    - log_x0)
                 rec_i += 1
-        x0_out[pos:pos + m] = x0
-        pos += m
+        return x_rec, lw_rec, x0
+
+    n = cfg.n_paths
+    x_out, lw_out, x0_out = _chunks(n, cfg.seed, chunk)
     lw_final = lw_out[:, -1]
     shifted = np.exp(lw_final - lw_final.max())
     ess = float(np.sum(shifted) ** 2 / np.sum(shifted ** 2))

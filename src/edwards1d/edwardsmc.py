@@ -27,22 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .besselsim import (
+    CHUNK,
+    McEstimate,
+    _absorbed_run,
+    _besq_step,
+    _chunk_sizes,
+    _chunks,
+    _equilibrium_draw,
+    _rng,
+)
 from .errors import ConditioningError, DegeneracyError, DomainError, NumericError
 from .sturm import principal_eigen
-
-CHUNK = 4096
-
-
-def _rng(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _chunk_sizes(n: int):
-    sizes = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        sizes.append(n % CHUNK)
-    return sizes
 
 
 @dataclass(frozen=True)
@@ -115,33 +111,40 @@ class PolymerEstimate:
     seed: int
 
 
-def _chunk_paths(cfg: PolymerConfig, ci: int, m: int, drift: float = 0.0):
+def _positions(g: np.random.Generator, m: int, cfg: PolymerConfig,
+               drift: float = 0.0) -> np.ndarray:
+    """Positions of m paths with drift after each of cfg's time steps.
+
+    Row i is path i; the first k rows are the same at any m >= k.
+    """
+    pos = g.standard_normal((m, cfg.n_steps)) * math.sqrt(cfg.dt)
+    if drift:
+        pos += drift * cfg.dt
+    return np.cumsum(pos, axis=1, out=pos)
+
+
+def _bin_index(pos, width: float):
+    """Index k of the spatial bin [k width, (k + 1) width) holding pos."""
+    return np.floor(pos / width).astype(np.int64)
+
+
+def _chunk_paths(g: np.random.Generator, m: int, cfg: PolymerConfig,
+                 drift: float = 0.0):
     """Simulate one chunk: returns (H values, endpoints)."""
-    g = _rng(cfg.seed, ci)
-    n_steps = cfg.n_steps
-    steps = g.standard_normal((m, n_steps)) * math.sqrt(cfg.dt) + drift * cfg.dt
-    pos = np.cumsum(steps, axis=1)
-    idx = np.floor(pos / cfg.bin).astype(np.int64)
+    pos = _positions(g, m, cfg, drift)
+    idx = _bin_index(pos, cfg.bin)
     lo = idx.min()
     width = int(idx.max() - lo + 1)
     flat = (np.arange(m)[:, None] * width + (idx - lo)).ravel()
     counts = np.bincount(flat, minlength=m * width).reshape(m, width)
     occ = counts * cfg.dt
     h = np.sum(occ * occ, axis=1) / cfg.bin
-    return h, pos[:, -1]
+    return h, pos[:, -1].copy()  # a copy, so the chunk's paths are freed
 
 
 def _ensemble(cfg: PolymerConfig, drift: float = 0.0):
-    n = cfg.n_paths
-    h_all = np.empty(n)
-    end_all = np.empty(n)
-    pos = 0
-    for ci, m in enumerate(_chunk_sizes(n)):
-        h, endp = _chunk_paths(cfg, ci, m, drift)
-        h_all[pos:pos + m] = h
-        end_all[pos:pos + m] = endp
-        pos += m
-    return h_all, end_all
+    return _chunks(cfg.n_paths, cfg.seed,
+                   lambda g, m: _chunk_paths(g, m, cfg, drift))
 
 
 def local_time_histogram(cfg: PolymerConfig, path_index: int = 0) -> LocalTimeHistogram:
@@ -149,12 +152,8 @@ def local_time_histogram(cfg: PolymerConfig, path_index: int = 0) -> LocalTimeHi
     if not (0 <= path_index < cfg.n_paths):
         raise DomainError(f"path_index out of range: {path_index!r}")
     ci, within = divmod(path_index, CHUNK)
-    m = min(CHUNK, cfg.n_paths - ci * CHUNK)
-    g = _rng(cfg.seed, ci)
-    steps = g.standard_normal((m, cfg.n_steps)) * math.sqrt(cfg.dt)
-    pos = np.cumsum(steps[within], axis=0)
-    idx = np.floor(pos / cfg.bin).astype(np.int64)
-    vals, counts = np.unique(idx, return_counts=True)
+    path = _positions(_rng(cfg.seed, ci), within + 1, cfg)[within]
+    vals, counts = np.unique(_bin_index(path, cfg.bin), return_counts=True)
     bins = {int(k): float(c * cfg.dt) for k, c in zip(vals, counts)}
     return LocalTimeHistogram(bins=bins, bin_width=cfg.bin)
 
@@ -283,7 +282,7 @@ def _smc_island(cfg: PolymerConfig, ci: int, m: int):
         block = min(SMC_BLOCK, cfg.n_steps - start)
         for dw in g.standard_normal((block, m)) * math.sqrt(cfg.dt):
             x += dw
-            b = np.floor(x / cfg.bin).astype(np.int64)
+            b = _bin_index(x, cfg.bin)
             if b.min() < -half or b.max() >= half:
                 raise NumericError(
                     f"a path left the occupancy window |x| < {half * cfg.bin:g} "
@@ -381,7 +380,6 @@ def tilted_mgf(mu: float, cfg: PolymerConfig):
     McEstimate (besselsim's container) to keep field conventions
     uniform.
     """
-    from .besselsim import McEstimate
     from .constants import compute_constants
     mu = float(mu)
     if not math.isfinite(mu):
@@ -522,47 +520,20 @@ def _quintuple(pos: np.ndarray, cfg: PolymerConfig):
     y = pos[:, -1]
     t1 = np.sum(pos > y[:, None], axis=1) * cfg.dt
     t2 = np.sum(pos < 0.0, axis=1) * cfg.dt
-    idx_end = np.floor(y / cfg.bin)
-    idx0 = 0.0
-    h1 = np.sum(np.floor(pos / cfg.bin) == idx_end[:, None], axis=1) \
-        * cfg.dt / cfg.bin
-    h2 = np.sum(np.floor(pos / cfg.bin) == idx0, axis=1) * cfg.dt / cfg.bin
+    idx = _bin_index(pos, cfg.bin)
+    h1 = np.sum(idx == idx[:, -1:], axis=1) * cfg.dt / cfg.bin
+    h2 = np.sum(idx == 0, axis=1) * cfg.dt / cfg.bin
     return y, h1, h2, t1, t2
 
 
-def _besq0_functionals(g: np.random.Generator, h0: np.ndarray, dt: float,
-                       max_steps: int = 4000):
-    """Vector BESQ0 from per-path starts; returns (A_inf, Q_inf, alive).
+def _coarsening_stages(dt: float):
+    """The Ray-Knight pieces' schedule for _absorbed_run.
 
-    Works on the shrinking set of unabsorbed paths only, with the step
-    coarsening every 1000 steps so stragglers do not dominate.
+    One-step stages, so absorbed paths leave the working set at once;
+    the step doubles every 1000 steps so stragglers do not dominate, and
+    the run stops after 4000 steps.
     """
-    m = len(h0)
-    a = np.zeros(m)
-    q = np.zeros(m)
-    idx = np.flatnonzero(h0 > 0.0)
-    x = h0[idx].astype(float)
-    step_dt = dt
-    steps = 0
-    while len(idx) and steps < max_steps:
-        dw = g.standard_normal(len(idx)) * math.sqrt(step_dt)
-        xn = x + 2.0 * np.sqrt(x) * dw
-        np.maximum(xn, 0.0, out=xn)
-        a[idx] += 0.5 * (x + xn) * step_dt
-        q[idx] += 0.5 * (x * x + xn * xn) * step_dt
-        absorbed = xn <= 0.0
-        if absorbed.any():
-            keep = ~absorbed
-            idx = idx[keep]
-            x = xn[keep]
-        else:
-            x = xn
-        steps += 1
-        if steps % 1000 == 0:
-            step_dt *= 2.0  # staged coarsening for stragglers
-    alive = np.zeros(m, dtype=bool)
-    alive[idx] = True
-    return a, q, alive
+    return ((1, dt * 2.0 ** (k // 1000)) for k in range(4000))
 
 
 def _besq2_profiles(g: np.random.Generator, h_start: np.ndarray,
@@ -584,13 +555,7 @@ def _besq2_profiles(g: np.random.Generator, h_start: np.ndarray,
     m = nq
     k = 0
     while m > 0:
-        dw = g.standard_normal((m, n_rep)) * math.sqrt(dt)
-        xs = x[:m]
-        xn = xs + 2.0 * np.sqrt(xs) * dw + 2.0 * dt
-        np.maximum(xn, 0.0, out=xn)
-        a[:m] += 0.5 * (xs + xn) * dt
-        q[:m] += 0.5 * (xs * xs + xn * xn) * dt
-        x[:m] = xn
+        x[:m] = _besq_step(g, x[:m], dt, 2.0, a[:m], q[:m])
         k += 1
         m_new = int(np.searchsorted(-steps_sorted, -k, side="left"))
         # rows m_new..m-1 have finished at this step: record their state
@@ -649,7 +614,7 @@ def _composite_h(g: np.random.Generator, quintuples, cfg: PolymerConfig,
 
     # outer pieces for all quintuples in a single absorbed batch
     h_starts = np.concatenate([np.repeat(h1, n_rep), np.repeat(h2, n_rep)])
-    a, q, alive = _besq0_functionals(g, h_starts, cfg.dt)
+    a, q, alive = _absorbed_run(g, h_starts, _coarsening_stages(cfg.dt))
     a = a.reshape(2, nq, n_rep)
     q = q.reshape(2, nq, n_rep)
     alive = alive.reshape(2, nq, n_rep)
@@ -721,9 +686,7 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
     if need_quint:
         qcfg = PolymerConfig(T=cfg.T, beta=cfg.beta, dt=cfg.dt, bin=cfg.bin,
                              n_paths=n_quintuples, seed=cfg.seed + 1)
-        steps = _rng(qcfg.seed, 0).standard_normal(
-            (n_quintuples, qcfg.n_steps)) * math.sqrt(qcfg.dt)
-        pos = _flip_to_positive(np.cumsum(steps, axis=1))
+        pos = _flip_to_positive(_positions(_rng(qcfg.seed, 0), n_quintuples, qcfg))
         y, h1, h2, t1, t2 = _quintuple(pos, qcfg)
         quintuples = list(zip(y, h1, h2, t1, t2))
 
@@ -784,15 +747,11 @@ def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
 
     n = int(n_rhs)
     g = _rng(cfg.seed, 3_000_017)
-    # equilibrium start
-    mass = sol.weights * sol.x ** 2
-    cdf = np.cumsum(mass)
-    cdf /= cdf[-1]
-    x0 = np.interp(g.random(n), cdf, sol.h)
+    x0 = _equilibrium_draw(sol)(g, n)
     xa0 = np.interp(x0, sol.h, sol.x)
 
     # piece 1: absorbed profile from x0
-    a1, q1, alive1 = _besq0_functionals(g, x0, cfg.dt)
+    a1, q1, alive1 = _absorbed_run(g, x0, _coarsening_stages(cfg.dt))
     t1 = a1
 
     # middle: weighted two-dimensional profile from the same x0,
@@ -810,7 +769,7 @@ def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
     hv = sol.h[pos]
     vv = np.gradient(np.log(sol.x[pos]), hv)
 
-    x = x0.copy()
+    x = x0
     area = np.zeros(n)
     u = 0.0
     y_read = np.zeros((n, n_bins))
@@ -820,14 +779,9 @@ def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
     s_sorted = np.take_along_axis(s_targets, order, axis=1)  # cross in order
     max_u = 80.0
     while u < max_u:
-        du = cfg.dt
-        dw = g.standard_normal(n) * math.sqrt(du)
         drift = np.clip(2.0 + 4.0 * x * np.interp(x, hv, vv), -200.0, 50.0)
-        xn = x + 2.0 * np.sqrt(np.maximum(x, 0.0)) * dw + drift * du
-        np.maximum(xn, 0.0, out=xn)
-        area += 0.5 * (x + xn) * du
-        x = xn
-        u += du
+        x = _besq_step(g, x, cfg.dt, drift, area)
+        u += cfg.dt
         crossed = np.flatnonzero((ptr < n_bins)
                                  & (area >= s_sorted[np.arange(n),
                                                      np.minimum(ptr, n_bins - 1)]))
@@ -851,7 +805,8 @@ def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
         if not np.any(ok):
             continue
         rows = np.flatnonzero(ok)
-        a2, q2, alive2 = _besq0_functionals(g, y_read[rows, j], cfg.dt)
+        a2, q2, alive2 = _absorbed_run(g, y_read[rows, j],
+                                       _coarsening_stages(cfg.dt))
         hit = ((~alive2) & (np.abs(a2 - t2c[j]) <= width / 2.0)
                & (t1[rows] + a2 <= T))
         xa_y = np.maximum(np.interp(y_read[rows, j], sol.h, sol.x), 1e-300)

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from edwards1d.besselsim import (
+    CHUNK,
     McEstimate,
     PathFunctionalSample,
     SimConfig,
@@ -38,6 +39,35 @@ class TestSimConfig:
             SimConfig(seed=-1)
         with pytest.raises(DomainError):
             SimConfig(scheme="milstein")
+
+
+class TestChunkIndependence:
+    """The first CHUNK paths of a run are the same paths at any larger n."""
+
+    N = 2 * CHUNK + 37
+
+    @pytest.mark.parametrize("dim, scheme", [(0, "euler_abs"), (2, "euler_abs"),
+                                             (0, "exact_besq0")])
+    def test_simulate_besq(self, dim, scheme):
+        def run(n):
+            cfg = SimConfig(dt=1e-3, n_paths=n, seed=8, scheme=scheme)
+            return simulate_besq(dim, 0.3, 0.05, cfg)
+        big, one = run(self.N), run(CHUNK)
+        assert len(big) == self.N
+        for field in ("terminal", "additive", "quad", "absorbed_at"):
+            assert np.array_equal(getattr(big, field)[:CHUNK],
+                                  getattr(one, field), equal_nan=True), field
+
+    def test_simulate_tilted(self):
+        def run(n):
+            cfg = SimConfig(dt=1e-3, n_paths=n, seed=8)
+            return simulate_tilted(2.0, "equilibrium", 0.05, cfg,
+                                   record_times=[0.02, 0.05])
+        big, one = run(self.N), run(CHUNK)
+        assert big.x.shape == (self.N, 2)
+        for field in ("x", "x0", "log_weight"):
+            assert np.array_equal(getattr(big, field)[:CHUNK],
+                                  getattr(one, field)), field
 
 
 class TestSimulateBesq:
@@ -134,6 +164,16 @@ class TestEstimateY:
         a = estimate_y(0.5, 1.0, cfg)
         b = estimate_y(0.5, 1.0, cfg)
         assert a.mean == b.mean and a.se == b.se
+
+    def test_step_cap_raises_horizon_error(self):
+        # at dt = 1e-6 the 10,000-step cap ends the run at t = 0.01, long
+        # before paths from h0 = 1 are absorbed
+        cfg = SimConfig(dt=1e-6, n_paths=100, seed=0)
+        with pytest.raises(HorizonError,
+                           match="unabsorbed at the step cap; increase dt$"):
+            estimate_y(0.0, 1.0, cfg)
+        with pytest.raises(HorizonError, match="increase dt$"):
+            estimate_w(1.0, [0.2, 0.4], cfg)
 
     def test_threshold_and_warning(self):
         cfg = SimConfig(dt=1e-2, n_paths=2000, seed=5)

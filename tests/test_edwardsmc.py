@@ -99,6 +99,13 @@ class TestLocalTimeHistogram:
         with pytest.raises(DomainError):
             local_time_histogram(self.CFG, path_index=4)
 
+    def test_h_value_matches_ensemble(self):
+        # one path generator and one binning: the histogram of path i is
+        # the profile behind the ensemble's H for that path, exactly
+        h, _ = _ensemble(self.CFG)
+        for i in range(self.CFG.n_paths):
+            assert local_time_histogram(self.CFG, path_index=i).h_value() == h[i]
+
 
 class TestFreeCase:
     """beta = 0 removes the weight entirely: logZ must be exactly zero."""
@@ -220,6 +227,17 @@ class TestDegeneracy:
                             n_paths=4096, seed=7)
         with pytest.raises(DegeneracyError):
             sample_polymer(cfg)
+
+
+class TestChunkIndependence:
+    def test_first_chunk_rows_do_not_depend_on_n(self):
+        def run(n):
+            return _ensemble(PolymerConfig(T=0.5, beta=1.0, dt=0.004, bin=0.1,
+                                           n_paths=n, seed=8), drift=0.3)
+        (h_big, end_big), (h_one, end_one) = run(2 * CHUNK + 37), run(CHUNK)
+        assert len(h_big) == 2 * CHUNK + 37
+        assert np.array_equal(h_big[:CHUNK], h_one)
+        assert np.array_equal(end_big[:CHUNK], end_one)
 
 
 class TestBinnedRefinement:
