@@ -125,7 +125,8 @@ def _positions(g: np.random.Generator, m: int, cfg: PolymerConfig,
 
 def _bin_index(pos, width: float):
     """Index k of the spatial bin [k width, (k + 1) width) holding pos."""
-    return np.floor(pos / width).astype(np.int64)
+    idx = pos / width
+    return np.floor(idx, out=idx).astype(np.int64)
 
 
 def _chunk_paths(g: np.random.Generator, m: int, cfg: PolymerConfig,
@@ -135,8 +136,11 @@ def _chunk_paths(g: np.random.Generator, m: int, cfg: PolymerConfig,
     idx = _bin_index(pos, cfg.bin)
     lo = idx.min()
     width = int(idx.max() - lo + 1)
-    flat = (np.arange(m)[:, None] * width + (idx - lo)).ravel()
-    counts = np.bincount(flat, minlength=m * width).reshape(m, width)
+    # in place, as in _positions and _bin_index: every chunk x T/dt
+    # temporary costs 33 kB per time step in memory and page faults
+    idx -= lo
+    idx += np.arange(m)[:, None] * width
+    counts = np.bincount(idx.ravel(), minlength=m * width).reshape(m, width)
     occ = counts * cfg.dt
     h = np.sum(occ * occ, axis=1) / cfg.bin
     return h, pos[:, -1].copy()  # a copy, so the chunk's paths are freed

@@ -101,7 +101,8 @@ class TestLocalTimeHistogram:
 
     def test_h_value_matches_ensemble(self):
         # one path generator and one binning: the histogram of path i is
-        # the profile behind the ensemble's H for that path, exactly
+        # the profile behind the ensemble's H for that path; on this dyadic
+        # grid the two sums of squares are exact, so they agree bit for bit
         h, _ = _ensemble(self.CFG)
         for i in range(self.CFG.n_paths):
             assert local_time_histogram(self.CFG, path_index=i).h_value() == h[i]
