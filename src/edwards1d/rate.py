@@ -15,8 +15,14 @@ envelope
 and on [0, b_2star] it is the linear segment a_2star - b rho(a_2star).
 Both branches meet at b_2star with matching value and slope.
 
-`legendre_check` recomputes I by a direct discrete supremum over mu with
-golden-section refinement, giving an independent route for testing.
+The two duality checks take their discrete suprema (grid, then golden
+section) over a, one eigensolve per point.  `legendre_check` computes
+sup_mu (b mu - lambda_plus(mu)) as sup_{a <= a_2star} (a - b rho(a)),
+since mu = -rho(a) increases in a and lambda_plus(-rho(a)) = -a; it never
+uses rho'(a_b) = 1/b, so it is a route to I independent of `rate_I`.
+`lambda_from_rate` computes sup_{b <= b_hi} (mu b - I(b)) with I on the
+envelope as the curve b = 1/rho'(a), I = a - b rho(a); it raises
+DomainError when the supremum lies beyond b_hi.
 """
 
 from __future__ import annotations
@@ -164,9 +170,9 @@ def legendre_check(b: float, cfg: SolverConfig | None = None,
                    n_grid: int = 25) -> LegendreReport:
     """Recompute I(b) as sup_mu (mu b - lambda_plus(mu)) and report the gap.
 
-    The supremum is located on a coarse mu grid and sharpened by
-    golden-section search; this is an independent route to the rate
-    function that never invokes the envelope formula.
+    The supremum runs over a as sup_{a <= a_2star} (a - b rho(a)) with the
+    kink a = a_2star as an explicit endpoint; it never invokes the envelope
+    relation.  Raises SolverError when the grid maximum is its left end.
     """
     b = float(b)
     if not math.isfinite(b) or b < 0.0:
@@ -174,17 +180,18 @@ def legendre_check(b: float, cfg: SolverConfig | None = None,
     cfg, consts = _resolve(cfg, consts)
     direct = rate_I(b, cfg, consts)
     kink = -consts.rho_2star
-    # the argmax lies at -rho(a_b) >= kink; cover it with margin
+    # the argmax lies at mu = -rho(a_b) >= kink; cover mu <= mu_hi with margin,
+    # as rho(a) < -sqrt(-2a) puts a = -mu_hi^2/2 - 2 at mu > mu_hi
     mu_hi = max(2.0, 1.5 * (direct / max(b, 0.25)) + 2.0)
-    grid = np.linspace(kink - 0.5, mu_hi, n_grid)
-    vals = np.array([b * m - lambda_plus(m, cfg, consts) for m in grid])
+    f = lambda a: a - b * _rho(a, cfg)
+    grid = np.linspace(-(mu_hi * mu_hi) / 2.0 - 2.0, consts.a_2star, n_grid)
+    vals = np.array([f(a) for a in grid])
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_grid - 1)]
-    mu_best, dual = _golden_max(lambda m: b * m - lambda_plus(m, cfg, consts),
-                                lo, hi, 1e-4)
-    # the flat segment makes b*mu - lambda increase for mu < kink when the
-    # argmax is the kink itself; include the kink endpoint explicitly
+    if i == 0:
+        raise SolverError(f"legendre_check: supremum not bracketed at b = {b:g}")
+    a_best, dual = _golden_max(f, grid[i - 1], grid[min(i + 1, n_grid - 1)], 1e-4)
+    mu_best = -_rho(a_best, cfg)
+    # for b <= b_2star the supremum is the kink itself
     kink_val = b * kink + consts.a_2star
     if kink_val > dual:
         mu_best, dual = kink, kink_val
@@ -195,18 +202,34 @@ def legendre_check(b: float, cfg: SolverConfig | None = None,
 def lambda_from_rate(mu: float, cfg: SolverConfig | None = None,
                      consts: ModelConstants | None = None,
                      b_hi: float = 12.0, n_grid: int = 25) -> float:
-    """Involution partner: recompute lambda_plus as sup_b (mu b - I(b))."""
+    """Involution partner: recompute lambda_plus as sup_{b <= b_hi} (mu b - I(b)).
+
+    The linear segment is maximised in closed form and the envelope over a
+    in [a(b_hi), a_2star], where mu b - I = (mu + rho(a)) / rho'(a) - a.
+    Raises DomainError when mu > -rho(a(b_hi)), the supremum past b_hi,
+    and when b_hi <= b_2star, where the envelope is empty.
+    """
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu!r}")
     cfg, consts = _resolve(cfg, consts)
-    grid = np.linspace(0.0, b_hi, n_grid)
-    vals = np.array([mu * b - rate_I(b, cfg, consts) for b in grid])
+    if not b_hi > consts.b_2star:
+        raise DomainError(f"b_hi must exceed b_2star = {consts.b_2star:.9g}, got {b_hi!r}")
+    a_2s = consts.a_2star
+    linear = max(-a_2s, consts.b_2star * (mu + consts.rho_2star) - a_2s)
+    a_lo = _a_of_b(b_hi, cfg, consts)
+    mu_max = -_rho(a_lo, cfg)
+    if mu > mu_max:
+        raise DomainError(f"lambda_from_rate with b_hi = {b_hi:g} requires "
+                          f"mu <= {mu_max:.9g}, got {mu!r}")
+    def g(a):
+        sol = principal_eigen(a, cfg)
+        return (mu + sol.rho) / sol.rho1 - a
+    grid = np.linspace(a_lo, a_2s, n_grid)
+    vals = np.array([g(a) for a in grid])
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_grid - 1)]
-    _, best = _golden_max(lambda b: mu * b - rate_I(b, cfg, consts), lo, hi, 1e-4)
-    return max(best, -consts.a_2star)
+    _, best = _golden_max(g, grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)], 1e-4)
+    return max(best, linear)
 
 
 def rate_I_scaled(b: float, beta: float, cfg: SolverConfig | None = None,

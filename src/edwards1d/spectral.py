@@ -182,13 +182,13 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
     if np.any(h_arr <= 0.0) or not np.all(np.isfinite(h_arr)):
         raise DomainError("laplace_reconstruct requires finite h > 0")
     zeros, lams, _ = _basis_arrays(K)
+    aip = airy_batch(zeros)[1]
     out = np.empty(h_arr.shape)
     for i, hv in enumerate(h_arr):
         ev = (hv * hv) / 88.0 if eps is None else float(eps)
         # exact part: the first K basis terms, Abel-damped
         args = INV_CBRT2 * hv + zeros
         ai = airy_batch(args)[0]
-        aip = airy_batch(zeros)[1]
         damp = np.exp((a + lams) * ev)
         total = np.sum(CBRT2 * ai / aip / (-(a + lams)) * damp)
         # asymptotic tail: zeros from their asymptotic series (relative

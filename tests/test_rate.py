@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from edwards1d import rate, sturm
 from edwards1d.constants import compute_constants
-from edwards1d.errors import DomainError
+from edwards1d.errors import DomainError, SolverError
 from edwards1d.rate import (
     lambda_plus,
     lambda_full,
@@ -122,6 +123,49 @@ def test_involution():
     for mu in (-1.0, 0.3):
         back = lambda_from_rate(mu, consts=C)
         assert abs(back - lambda_plus(mu, consts=C)) < 1e-5
+
+
+def test_duality_checks_cost_one_solve_per_point(monkeypatch):
+    # one principal_eigen call per point of either supremum; searching over
+    # mu and over b made about 750 and 850
+    calls = []
+    real = rate.principal_eigen
+    monkeypatch.setattr(rate, "principal_eigen",
+                        lambda a, cfg=None: calls.append(a) or real(a, cfg))
+    for fn, arg in ((legendre_check, 1.5), (lambda_from_rate, 0.3)):
+        sturm.clear_cache()
+        calls.clear()
+        fn(arg, consts=C)
+        assert len(calls) <= 100, fn.__name__
+
+
+def test_rate_values_pinned():
+    # exact values, so a change to the duality checks cannot move them
+    assert rate_I(0.3, consts=C) == 2.712738195653752
+    assert rate_I(1.5, consts=C) == 2.356042471131343
+    assert rate_I(3.0, consts=C) == 5.156047911450727
+    assert rate_derivative(1.5, consts=C) == 0.8062842374269357
+    assert rate_derivative(3.0, consts=C) == 2.7905989170183907
+    assert lambda_plus(-1.0, consts=C) == -2.945830743353453
+    assert lambda_plus(0.3, consts=C) == -1.8372146417750146
+    assert lambda_plus(2.0, consts=C) == 1.1129582322534723
+
+
+def test_involution_fails_past_b_hi():
+    # the supremum at mu = 13 lies beyond b_hi = 12; clipping it there
+    # returned 83.83 against lambda_plus(13) = 84.35
+    with pytest.raises(DomainError, match="mu <="):
+        lambda_from_rate(13.0, consts=C)
+    with pytest.raises(DomainError, match="b_hi"):
+        lambda_from_rate(0.0, consts=C, b_hi=1.0)
+
+
+def test_legendre_check_fails_when_unbracketed(monkeypatch):
+    # a direct value of 0 shrinks the grid to a >= -4, while the maximiser
+    # at b = 5 sits near a = -b^2/2
+    monkeypatch.setattr(rate, "rate_I", lambda b, cfg, consts: 0.0)
+    with pytest.raises(SolverError, match="not bracketed"):
+        legendre_check(5.0, consts=C)
 
 
 def test_scaling_relations():
