@@ -3,11 +3,16 @@
     python3 bench/compare.py --before DIR --after DIR --topic airy
 
 DIR is the root of a checkout (for "before", e.g. one made with
-``git archive <commit> | tar -x -C DIR``).  Every workload of the after
-checkout's BENCHMARK.json runs at its run_seconds for the ten seeds SEEDS:
-the two checkouts run ``perfbench/run.py`` back to back, untraced,
-alternating which goes first; then each makes one traced run at the first
-seed.  Every run must report ``correct: true``.
+``git archive <commit> | tar -x -C DIR``).  First each checkout's ``src/``,
+``perfbench/``, ``BENCHMARK.json`` and ``pyproject.toml`` are copied, without
+``__pycache__``, ``.perfbench_run`` or ``.perfbench_out``, into two sibling
+directories of one temporary directory, and the runs use those copies: the
+two sides then always run from the same kind of location, also with
+``--after .`` (run in place, the working checkout read a few percent slower
+than the same tree elsewhere).  Every workload of BENCHMARK.json runs at its
+run_seconds for the ten seeds SEEDS: the two copies run ``perfbench/run.py``
+back to back, untraced, alternating which goes first; then each makes one
+traced run at the first seed.  Every run must report ``correct: true``.
 
 The JSON holds, per workload and metric, both sides' values, medians and
 quartiles, the number of pairs in which "after" is better, and ``resolved``:
@@ -21,10 +26,26 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
+import tempfile
 
 SEEDS = list(range(101, 111))
+STAGED = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
+UNSTAGED = shutil.ignore_patterns("__pycache__", ".perfbench_run", ".perfbench_out")
+
+
+def stage(root, dest):
+    """Copy what a benchmark run uses from checkout ``root`` into ``dest``."""
+    os.makedirs(dest)
+    for name in STAGED:
+        path = os.path.join(root, name)
+        if os.path.isdir(path):
+            shutil.copytree(path, os.path.join(dest, name), ignore=UNSTAGED)
+        else:
+            shutil.copy2(path, dest)
+    return dest
 
 
 def load_baseline(side, root):
@@ -57,7 +78,19 @@ def main(argv=None):
     ap.add_argument("--topic", required=True)
     args = ap.parse_args(argv)
     out_path = os.path.abspath(f"BENCH_{args.topic}.json")
-    roots = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
+    with tempfile.TemporaryDirectory(prefix="edwards1d-compare-") as tmp:
+        roots = {side: stage(os.path.abspath(getattr(args, side)), os.path.join(tmp, side))
+                 for side in ("before", "after")}
+        out = compare(roots)
+        os.chdir(os.path.dirname(out_path))  # leave the copies before they go
+    with open(out_path, "w") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {out_path}", file=sys.stderr)
+
+
+def compare(roots):
+    """Paired runs of both staged checkouts; the BENCH_<topic>.json content."""
     with open(os.path.join(roots["after"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
@@ -89,11 +122,7 @@ def main(argv=None):
         entry["traced"] = {side: run(roots[side], baselines[side], wl, SEEDS[0], seconds, 1)
                            for side in roots}
         out["workloads"][wl] = entry
-
-    with open(out_path, "w") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {out_path}", file=sys.stderr)
+    return out
 
 
 if __name__ == "__main__":

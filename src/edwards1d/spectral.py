@@ -40,13 +40,26 @@ from .errors import AccuracyError, DomainError
 GREEN_K = -CBRT2 * math.pi / 2.0
 
 
+# w_eval leaves out the terms whose summed tail bound is below this; it is
+# far below the 1e-8 default `tol` and at the rounding level of w = O(1).
+W_TERM_FLOOR = 1e-17
+
+
 @lru_cache(maxsize=8)
 def _basis_arrays(K: int):
+    """a_k, lam_k, c_k, Ai'(a_k) and gamma_k for k < K, computed once per K.
+
+    The arrays are shared by every caller, so they are made read-only.
+    """
     els = eigenbasis(K)
     zeros = np.array([e.zero for e in els])
     lams = np.array([e.eigenvalue for e in els])
     cs = np.array([e.c for e in els])
-    return zeros, lams, cs
+    aip = airy_batch(zeros)[1]
+    gam = CBRT2 / (cs * aip)
+    for arr in (zeros, lams, cs, aip, gam):
+        arr.flags.writeable = False
+    return zeros, lams, cs, aip, gam
 
 
 @dataclass(frozen=True)
@@ -65,9 +78,7 @@ def w_coefficients(K: int) -> WExpansion:
     gamma_k = 2^{1/3} / (c_k Ai'(a_k)); with the normalization quadrature
     this evaluates to sqrt(2) (-1)^k, which tests pin independently.
     """
-    zeros, lams, cs = _basis_arrays(K)
-    aip = airy_batch(zeros)[1]
-    gam = CBRT2 / (cs * aip)
+    zeros, lams, cs, _, gam = _basis_arrays(K)
     return WExpansion(K=K, zeros=zeros, eigenvalues=lams, gamma=gam, c=cs)
 
 
@@ -92,6 +103,11 @@ def y_kernel(h, a: float):
     return out if np.ndim(h) else float(out[0])
 
 
+def _decay_rate_bound(k):
+    """2^{1/3} 0.999 (3 pi (4k+3)/8)^{2/3} <= -lam_k, for an int or an array k."""
+    return CBRT2 * 0.999 * (3.0 * math.pi * (4 * k + 3) / 8.0) ** (2.0 / 3.0)
+
+
 def w_tail_bound(K: int, t: float) -> float:
     """Upper bound on the w series tail sum_{k >= K} |gamma_k e_k| e^{lam_k t}.
 
@@ -104,14 +120,25 @@ def w_tail_bound(K: int, t: float) -> float:
     total = 0.0
     k = K
     while k < K + 200000:
-        tk = 3.0 * math.pi * (4 * k + 3) / 8.0
-        lam = -CBRT2 * 0.999 * tk ** (2.0 / 3.0)
-        term = math.exp(lam * t)
+        term = math.exp(-_decay_rate_bound(k) * t)
         total += term
         if term < 1e-30 * max(total, 1e-300):
             break
         k += 1
     return total
+
+
+def _terms_needed(K: int, t: float, bound: float) -> int:
+    """Smallest K' <= K whose tail bound is at most W_TERM_FLOOR, at least 1.
+
+    The tail bound of K' is `bound` = w_tail_bound(K, t) plus the per-term
+    bounds of w_tail_bound for k = K' .. K-1, found for every K' at once by
+    a reverse cumulative sum.  One term is always kept, so that w stays
+    positive at long times instead of becoming 0.
+    """
+    terms = np.exp(-_decay_rate_bound(np.arange(K)) * t)
+    tails = bound + np.cumsum(terms[::-1])[::-1]
+    return max(1, int(np.count_nonzero(tails > W_TERM_FLOOR)))
 
 
 def min_time(K: int, tol: float = 1e-8) -> float:
@@ -131,8 +158,12 @@ def min_time(K: int, tol: float = 1e-8) -> float:
 def w_eval(h, t: float, K: int = 200, tol: float = 1e-8):
     """Time-domain kernel w(h, t) by truncated eigenexpansion.
 
-    Raises AccuracyError (carrying the bound) when the truncation tail
-    at this t exceeds `tol`.
+    K is the cap on the number of terms.  Raises AccuracyError (carrying
+    the bound w_tail_bound(K, t)) when the truncation tail at this t
+    exceeds `tol`.  Of the K terms only the first K' are summed: the
+    terms beyond K' are left out once their tail bound is below
+    W_TERM_FLOOR = 1e-17, which at t >= 0.5 is most of them (K' = 110 at
+    t = 0.5, 13 at t = 2).
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
@@ -142,14 +173,14 @@ def w_eval(h, t: float, K: int = 200, tol: float = 1e-8):
         raise AccuracyError(
             f"truncation tail {bound:.3g} exceeds tol {tol:g} at t={t:g}; "
             f"increase K or t", bound=bound)
-    zeros, lams, cs = _basis_arrays(K)
-    gam = w_coefficients(K).gamma
+    zeros, lams, cs, _, gam = _basis_arrays(K)
     h_arr = np.atleast_1d(np.asarray(h, dtype=float))
     if np.any(h_arr < 0.0) or not np.all(np.isfinite(h_arr)):
         raise DomainError("w_eval requires finite h >= 0")
-    args = INV_CBRT2 * h_arr[:, None] + zeros[None, :]
+    n = _terms_needed(K, t, bound)
+    args = INV_CBRT2 * h_arr[:, None] + zeros[None, :n]
     ai = airy_batch(args.ravel())[0].reshape(args.shape)
-    out = ai @ (gam * cs * np.exp(lams * t))
+    out = ai @ (gam[:n] * cs[:n] * np.exp(lams[:n] * t))
     return out if np.ndim(h) else float(out[0])
 
 
@@ -172,6 +203,24 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
     e^{a eps} erfc(h / sqrt(8 eps)) since w(h, .) is dominated by the
     level-h first-passage density; eps defaults to h^2/88, making that
     bound about 5e-6 relative to y_a(h) = O(1).
+
+    Tolerance of the tail.  Its k-th term is 2^{1/3} Ai(x_k) / Ai'(a_k)
+    times e^{(a + lam_k) eps} / -(a + lam_k), with x_k = a_k + 2^{-1/3} h.
+    The airy module bounds the error of each asymptotic value by
+    4 eps_m (1 + zeta) env (eps_m = 2^{-52}, zeta = (2/3)|x|^{3/2});
+    applied to Ai(x_k) and to Ai'(a_k), and once more for the rounding of
+    the asymptotic zero (within 2.3 eps_m relative of mpmath's, which
+    moves the phase of Ai(x_k) by less than 4 eps_m zeta_k), this bounds
+    the ratio's error by 12 eps_m (1 + zeta_k) (|x_k| |a_k|)^{-1/4},
+    zeta_k = (2/3)|a_k|^{3/2}.  Summed over the tail,
+
+        |tail error| <= sum_{k >= K} 2^{1/3} e^{(a + lam_k) eps}
+                        12 eps_m (1 + zeta_k) / (|a + lam_k| (|x_k| |a_k|)^{1/4}),
+
+    at most 3.4e-13 relative to y_a(h) for h in [1, 1.75] and a in
+    [-1, 2.5], against the 1e-3 reconstruction gate.  Against mpmath,
+    sampled terms k = 200 .. 30000 at h = 1 were off by at most 0.27 of
+    their share of the bound.
     """
     a = float(a)
     a_2s = a_2star()
@@ -181,8 +230,7 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
     h_arr = np.atleast_1d(np.asarray(h, dtype=float))
     if np.any(h_arr <= 0.0) or not np.all(np.isfinite(h_arr)):
         raise DomainError("laplace_reconstruct requires finite h > 0")
-    zeros, lams, _ = _basis_arrays(K)
-    aip = airy_batch(zeros)[1]
+    zeros, lams, _, aip, _ = _basis_arrays(K)
     out = np.empty(h_arr.shape)
     for i, hv in enumerate(h_arr):
         ev = (hv * hv) / 88.0 if eps is None else float(eps)

@@ -32,6 +32,9 @@ from edwards1d.spectral import (
 
 SQRT2 = math.sqrt(2.0)
 A2S = CBRT2 * (-airy_zeros(1).zeros[0])  # first pole of the boundary kernel
+# the benchmark's w_eval times and boundary-kernel parameters
+T_GRID = [0.5 + 0.1 * i for i in range(16)]
+A_GRID = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
 
 
 def _raw_ratio(h: float, a: float) -> float:
@@ -152,6 +155,14 @@ class TestLaplaceConsistency:
         rec_explicit = laplace_reconstruct(h, 0.5, K=200, eps=h * h / 88.0)
         assert rec_default == rec_explicit
 
+    def test_abel_tail_error_bound(self):
+        # the docstring's bound on the evaluation error of the asymptotic
+        # tail, against the criterion-6 gate of 1e-3 relative
+        for h in (1.0, 1.25, 1.5, 1.75):
+            for a in A_GRID:
+                bound = _abel_tail_error_bound(h, a)
+                assert 0.0 < bound < 1e-9 * y_kernel(h, a), (h, a, bound)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             laplace_reconstruct(1.0, A2S)
@@ -159,6 +170,23 @@ class TestLaplaceConsistency:
             laplace_reconstruct(0.0, 0.0)
         with pytest.raises(DomainError):
             laplace_reconstruct(-1.0, 0.0)
+
+
+def _abel_tail_error_bound(h: float, a: float, K: int = 200) -> float:
+    """The laplace_reconstruct docstring's bound on its tail's evaluation
+    error, summed over the same terms as the tail itself."""
+    eps = h * h / 88.0
+    total, k = 0.0, K
+    while True:
+        z = spectral._airy_zero_guess(np.arange(k, k + 20000, dtype=float))
+        lam = -CBRT2 * z
+        zeta = (2.0 / 3.0) * z ** 1.5
+        damp = np.exp((a + lam) * eps)
+        total += np.sum(CBRT2 * damp * 12.0 * np.finfo(float).eps * (1.0 + zeta)
+                        / (np.abs(a + lam) * ((z - INV_CBRT2 * h) * z) ** 0.25))
+        if damp[-1] < 1e-16:
+            return total
+        k += 20000
 
 
 class TestWEval:
@@ -213,6 +241,58 @@ class TestWEval:
             for h in (0.5, 1.0, 2.0):
                 lead = SQRT2 * _basis_value(0, h) * math.exp(-A2S * t)
                 assert abs(w_eval(h, t) - lead) <= bound
+
+
+def _terms_kept(t: float, K: int = 200) -> int:
+    """K', the fewest terms whose tail bound at t is at most 1e-17 (K if none)."""
+    return next((k for k in range(1, K) if w_tail_bound(k, t) <= 1e-17), K)
+
+
+class TestWTruncation:
+    """w_eval sums the K-term series only as far as its tail bound matters."""
+
+    H = np.linspace(0.0, 30.0, 1201)
+
+    def test_zero_lower_bound(self):
+        # |a_k| >= 0.999 (3 pi (4k+3)/8)^{2/3}, which w_tail_bound rests on
+        k = np.arange(200)
+        asym = (3.0 * math.pi * (4.0 * k + 3.0) / 8.0) ** (2.0 / 3.0)
+        assert np.all(np.abs(airy_zeros(200).zeros) >= 0.999 * asym)
+
+    def test_term_magnitudes_below_one(self):
+        # max_h |gamma_k e_k(h)| <= 1, the other fact behind w_tail_bound;
+        # the grid reaches past the last hump of every e_k, k < 200
+        exp = w_coefficients(200)
+        h = np.linspace(0.0, 75.0, 3751)
+        ai = airy_batch(INV_CBRT2 * h[:, None] + exp.zeros)[0]
+        assert np.max(np.abs(ai * (exp.gamma * exp.c))) <= 1.0
+
+    def test_matches_full_sum(self):
+        exp = w_coefficients(200)
+        ai = airy_batch(INV_CBRT2 * self.H[:, None] + exp.zeros)[0]
+        for t in T_GRID:
+            full = ai @ (exp.gamma * exp.c * np.exp(exp.eigenvalues * t))
+            kept = _terms_kept(t)
+            err = np.max(np.abs(w_eval(self.H, t) - full))
+            assert err <= w_tail_bound(kept, t) + 1e-15, (t, kept, err)
+
+    def test_cap_does_not_change_result(self):
+        for t in T_GRID:
+            if _terms_kept(t) < 200:
+                assert np.array_equal(w_eval(self.H, t, K=400), w_eval(self.H, t, K=200)), t
+
+    def test_airy_points_at_t2(self, monkeypatch):
+        w_eval(self.H, 2.0)  # fill the basis cache first
+        seen = []
+        real = spectral.airy_batch
+
+        def counting(x):
+            seen.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(spectral, "airy_batch", counting)
+        w_eval(self.H, 2.0)
+        assert 0 < sum(seen) <= 13 * self.H.size
 
 
 def _w_time_batch(h: float, ts: np.ndarray, K: int) -> np.ndarray:
