@@ -18,18 +18,21 @@ Randomness is counter-based (Philox) keyed by (seed, chunk index) over
 fixed chunks of CHUNK (4096) paths, and every reduction runs in chunk
 order, so results are bit-identical regardless of how chunks are
 scheduled, and the first k chunks of a run are the same paths at any
-larger n_paths.
+larger n_paths.  The chunks run in parallel, one forked process per
+CPU of the process's affinity mask (_map); under ``taskset -c 0`` they
+run in the calling process, with the same results.
 
-The private Monte Carlo core here is shared with edwardsmc: the chunk
-driver _chunks, the Euler step _besq_step (drift 0, 2 or the
-eigenfunction drift, trapezoid A and Q), the absorbed-run integrator
-_absorbed_run with its stage schedule as input, and the equilibrium
-draw _equilibrium_draw.
+The private Monte Carlo core here is shared with edwardsmc: the ordered
+process map _map and the chunk driver _chunks, the Euler step _besq_step
+(drift 0, 2 or the eigenfunction drift, trapezoid A and Q), the
+absorbed-run integrator _absorbed_run with its stage schedule as input,
+and the equilibrium draw _equilibrium_draw.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -121,14 +124,66 @@ def _chunk_sizes(n: int):
     return sizes
 
 
+def _workers(n_jobs: int) -> int:
+    """Processes _map uses for n_jobs jobs; 1 means inline.
+
+    One per CPU in the process's affinity mask, at most one per job.
+    Inline inside a multiprocessing child (so pools never nest) and
+    where fork or the affinity mask is unavailable.
+    """
+    if n_jobs < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing
+    if (multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_jobs)
+
+
+_job = None  # the job function, set in each pool worker by _adopt
+
+
+def _adopt(fn):
+    global _job
+    _job = fn
+
+
+def _run_job(args):
+    return _job(*args)
+
+
+def _map(fn, jobs):
+    """[fn(*args) for args in jobs], the jobs spread over _workers processes.
+
+    The jobs must be independent (each draws from its own stream), so
+    the results, returned in job order, do not depend on the worker
+    count.  Workers are forked, so fn may be a closure: it is inherited,
+    and only the argument tuples and the results are pickled.  An error
+    raised by a job reaches the caller with its type and message.  Every
+    worker has exited when _map returns; each holds one job's working
+    set at a time.
+    """
+    jobs = list(jobs)
+    workers = _workers(len(jobs))
+    if workers < 2:
+        return [fn(*args) for args in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(fn,)) as pool:
+        return list(pool.map(_run_job, jobs))
+
+
 def _chunks(n: int, seed: int, fn):
     """Run fn(generator, m) on each chunk of n paths and join the results.
 
     Chunk ci holds m = _chunk_sizes(n)[ci] paths and draws from its own
-    (seed, ci) stream.  fn returns a tuple of arrays with one row per
-    path; the rows are concatenated in chunk order.
+    (seed, ci) stream; the chunks go through _map.  fn returns a tuple
+    of arrays with one row per path; the rows are concatenated in chunk
+    order.
     """
-    parts = [fn(_rng(seed, ci), m) for ci, m in enumerate(_chunk_sizes(n))]
+    parts = _map(lambda ci, m: fn(_rng(seed, ci), m),
+                 enumerate(_chunk_sizes(n)))
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

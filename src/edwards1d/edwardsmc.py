@@ -35,6 +35,7 @@ from .besselsim import (
     _chunk_sizes,
     _chunks,
     _equilibrium_draw,
+    _map,
     _rng,
 )
 from .errors import ConditioningError, DegeneracyError, DomainError, NumericError
@@ -341,9 +342,10 @@ def sample_polymer_sequential(cfg: PolymerConfig) -> SequentialEstimate:
     particles (Feynman-Kac SMC), so the estimates stay usable at
     horizons where plain importance sampling degenerates.  Each
     _chunk_sizes chunk is an island that resamples only within itself
-    and draws from its own (seed, chunk) stream; islands are combined
-    by their Z_hat.  Standard errors are delete-one-island jackknife
-    errors, so at least two islands (n_paths > CHUNK) are required.
+    and draws from its own (seed, chunk) stream, so the islands run in
+    parallel (besselsim._map); they are combined by their Z_hat.
+    Standard errors are delete-one-island jackknife errors, so at least
+    two islands (n_paths > CHUNK) are required.
     ess is the sum of the islands' final effective sample sizes.
     Memory is one chunk x window occupancy array, not chunk x T/dt.
     """
@@ -352,7 +354,7 @@ def sample_polymer_sequential(cfg: PolymerConfig) -> SequentialEstimate:
         raise DomainError(
             f"n_paths must exceed {CHUNK} so that standard errors can come "
             f"from the spread across islands, got {cfg.n_paths}")
-    islands = [_smc_island(cfg, ci, m) for ci, m in enumerate(sizes)]
+    islands = _map(lambda ci, m: _smc_island(cfg, ci, m), enumerate(sizes))
     (logz, ep_mean, _, sd_bt, sg_mean, _, skew, wv) = _pool_islands(
         islands, cfg.T)
     k = len(islands)
@@ -694,18 +696,27 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         y, h1, h2, t1, t2 = _quintuple(pos, qcfg)
         quintuples = list(zip(y, h1, h2, t1, t2))
 
+    # the composite runs, each on its own stream: (stream, swap)
+    runs = {}
     if "unconditional" in checks:
-        g = _rng(cfg.seed, 1_000_003)
-        comp, acc_rate = _composite_h(g, quintuples, cfg, swap=False)
+        runs["unconditional"] = (1_000_003, False)
+    if "swap" in checks:
+        runs["plain"] = (4_000_037, False)
+        runs["swapped"] = (2_000_003, True)
+    comps = dict(zip(runs, _map(
+        lambda stream, swap: _composite_h(_rng(cfg.seed, stream), quintuples,
+                                          cfg, swap=swap),
+        runs.values())))
+
+    if "unconditional" in checks:
+        comp, acc_rate = comps["unconditional"]
         comp_mean = float(np.mean(comp))
         comp_se = float(np.std(comp) / math.sqrt(len(comp)))
         z_unc = (direct_mean - comp_mean) / math.hypot(direct_se, comp_se)
 
     if "swap" in checks:
-        comp_a, acc_a = _composite_h(_rng(cfg.seed, 4_000_037), quintuples,
-                                     cfg, swap=False)
-        comp_sw, _ = _composite_h(_rng(cfg.seed, 2_000_003), quintuples, cfg,
-                                  swap=True)
+        comp_a, acc_a = comps["plain"]
+        comp_sw, _ = comps["swapped"]
         if math.isnan(acc_rate):
             acc_rate = acc_a
         k = min(len(comp_a), len(comp_sw))

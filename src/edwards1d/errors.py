@@ -36,6 +36,11 @@ class AccuracyError(NumericError):
         super().__init__(message)
         self.bound = bound
 
+    def __reduce__(self):
+        # pickling keeps only args by default, which would drop bound on
+        # the way back from a pool worker
+        return type(self), (self.args[0], self.bound)
+
 
 class HorizonError(EdwardsError, RuntimeError):
     """Too many Monte Carlo paths still alive at the simulation horizon."""
