@@ -440,11 +440,6 @@ class TiltedBatch:
     ess: float
     seed: int
 
-    def weighted_mean(self, values: np.ndarray, col: int = -1) -> float:
-        lw = self.log_weight[:, col]
-        w = np.exp(lw - lw.max())
-        return float(np.sum(w * values) / np.sum(w))
-
 
 def _equilibrium_draw(sol):
     """Inverse-CDF draws from x_a(h)^2 dh on the grid of the solution sol."""

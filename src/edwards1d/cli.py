@@ -35,33 +35,24 @@ ENV_SEED = "EDWARDS1D_SEED"
 Z_GATE = 4.0
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
-
-
 def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _fmt(v) -> str:
+    v = _jsonable(v)
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
 
 
 def _render(header, rows, fmt: str) -> str:
     if fmt == "json":
         recs = [{k: _jsonable(v) for k, v in zip(header, row)} for row in rows]
         return json.dumps(recs, indent=2) + "\n"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -128,52 +119,37 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(raw: str, kind, key: str):
-    if kind == "bool":
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise DomainError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise DomainError(f"config key {key!r}: cannot parse {raw!r}")
+def _source_tokens(args, actions) -> list:
+    """Environment, then config-file values as ``--flag=value`` tokens.
 
-
-def _explicit_dests(argv) -> set:
-    """Destinations the user set on the command line itself."""
-    seen = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            seen.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-        elif tok.startswith("-") and len(tok) == 2 and tok[1] == "o":
-            seen.add("output")
-    return seen
-
-
-def _apply_sources(args, argv, registry):
-    """Precedence: flags > config file > environment > built-in defaults."""
-    spec = registry[args.command]
-    explicit = _explicit_dests(argv)
-    updates = {}
+    Parsed again right after the subcommand name, they lose to any later
+    flag (argparse keeps the last value), so flags > config > environment
+    > defaults holds for every spelling of a flag, and each value gets its
+    flag's type and choices checks; ``=`` keeps a value like ``-1`` a value.
+    """
+    tokens = []
     env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None and "seed" in spec:
+    if env_seed is not None and "seed" in actions:
         try:
-            updates["seed"] = int(env_seed)
+            int(env_seed)
         except ValueError:
             raise DomainError(f"{ENV_SEED} must be an integer, got {env_seed!r}")
-    if getattr(args, "config", None):
+        tokens.append(f"--seed={env_seed}")
+    if args.config:
         for key, raw in _parse_config_file(args.config).items():
-            dest = key.replace("-", "_")
-            if dest not in spec or dest == "config":
+            act = actions.get(key.replace("-", "_"))
+            if act is None or act.dest == "config":
                 raise DomainError(f"unknown config key {key!r} for "
                                   f"subcommand {args.command!r}")
-            updates[dest] = _coerce(raw, spec[dest], key)
-    for dest, val in updates.items():
-        if dest not in explicit:
-            setattr(args, dest, val)
+            flag = act.option_strings[0]
+            if act.nargs != 0:
+                tokens.append(f"{flag}={raw}")
+            elif raw.lower() in _TRUE:
+                tokens.append(flag)
+            elif raw.lower() not in _FALSE:
+                raise DomainError(f"config key {key!r}: expected a boolean, "
+                                  f"got {raw!r}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +174,7 @@ def _cmd_airy_zeros(args):
 def _cmd_eigen(args):
     sol = sturm.principal_eigen(args.a)
     if args.dump_eigenfunction:
-        rows = [[h, x] for h, x in zip(sol.h, sol.x)]
-        return ["h", "x"], rows, False
+        return ["h", "x"], [[h, x] for h, x in zip(sol.h, sol.x)], False
     rho1, rho2 = sturm.rho_derivative(args.a)
     res = sturm.eigen_residual(sol)
     header = ["a", "rho", "rho_prime", "rho_second", "residual"]
@@ -246,8 +221,7 @@ def _cmd_w_profile(args):
         raise DomainError("--npts must be at least 2")
     hs = np.linspace(0.0, args.hmax, args.npts)
     ws = spectral.w_eval(hs, args.t, K=args.K)
-    rows = [[h, w] for h, w in zip(hs, ws)]
-    return ["h", "w"], rows, False
+    return ["h", "w"], [[h, w] for h, w in zip(hs, ws)], False
 
 
 def _cmd_w_coeffs(args):
@@ -331,39 +305,23 @@ def _cmd_collapse(args):
     except ValueError:
         raise DomainError(f"--betas must be a comma list of numbers, "
                           f"got {args.betas!r}")
-    if not betas:
-        raise DomainError("--betas must name at least one value")
-    cfg = _polymer_cfg(args)
-    rep = edwardsmc.scaling_collapse(betas, cfg)
-    rows = []
-    for i, b in enumerate(rep.betas):
-        rows.append([b, rep.z_logZ[i], rep.z_endpoint[i], rep.rates[i],
-                     rep.exponent, rep.max_z])
+    rep = edwardsmc.scaling_collapse(betas, _polymer_cfg(args))
+    rows = [[b, z_logZ, z_end, r, rep.exponent, rep.max_z]
+            for b, z_logZ, z_end, r in zip(rep.betas, rep.z_logZ,
+                                            rep.z_endpoint, rep.rates)]
     header = ["beta", "z_logZ", "z_endpoint", "rate", "exponent", "max_z"]
     return header, rows, bool(rep.max_z > Z_GATE)
 
 
-_RK_CHECKS = ("unconditional", "swap", "bookkeeping")
-
-
 def _cmd_rayknight(args):
     checks = tuple(s.strip() for s in args.checks.split(",") if s.strip())
-    for c in checks:
-        if c not in _RK_CHECKS:
-            raise DomainError(f"unknown check {c!r}; choose from "
-                              f"{', '.join(_RK_CHECKS)}")
-    cfg = _polymer_cfg(args)
-    rep = edwardsmc.rayknight_consistency(args.a, cfg,
+    rep = edwardsmc.rayknight_consistency(args.a, _polymer_cfg(args),
                                           n_quintuples=args.quintuples,
                                           checks=checks)
     header = list(rep.__dataclass_fields__)
-    zs = []
-    if "unconditional" in checks:
-        zs.append(rep.z_unconditional)
-    if "swap" in checks:
-        zs.extend([rep.z_swap_mean, rep.z_swap_var])
-    if "bookkeeping" in checks:
-        zs.append(rep.z_bookkeeping)
+    # checks that were not run report nan
+    zs = (rep.z_unconditional, rep.z_swap_mean, rep.z_swap_var,
+          rep.z_bookkeeping)
     failed = any(math.isfinite(z) and abs(z) > Z_GATE for z in zs)
     return header, [[getattr(rep, k) for k in header]], failed
 
@@ -380,56 +338,61 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
     registry = {}
 
-    def command(name, help_text):
+    def command(name, run, help_text):
         sp = sub.add_parser(name, help=help_text, description=help_text)
-        spec = {"output": str, "format": str, "config": str}
-        registry[name] = spec
-        sp.add_argument("--output", "-o", default=None, metavar="PATH",
-                        help="write here (temp then rename) instead of stdout")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output encoding (default csv)")
-        sp.add_argument("--config", default=None, metavar="FILE",
-                        help="flat 'key = value' file; flags take precedence")
+        sp.set_defaults(run=run)
+        actions = registry[name] = {}
 
-        def arg(flag, **kw):
-            sp.add_argument(flag, **kw)
-            dest = flag.lstrip("-").replace("-", "_")
-            spec[dest] = "bool" if kw.get("action") == "store_true" \
-                else kw.get("type", str)
+        def arg(*flags, **kw):
+            act = sp.add_argument(*flags, **kw)
+            actions[act.dest] = act
+
+        arg("--output", "-o", default=None, metavar="PATH",
+            help="write here (temp then rename) instead of stdout")
+        arg("--format", choices=("csv", "json"), default="csv",
+            help="output encoding (default csv)")
+        arg("--config", default=None, metavar="FILE",
+            help="flat 'key = value' file; flags take precedence")
         return arg
 
-    command("constants", "six critical constants, one row")
+    command("constants", _cmd_constants, "six critical constants, one row")
 
-    arg = command("airy-zeros", "Airy zero table")
+    arg = command("airy-zeros", _cmd_airy_zeros, "Airy zero table")
     arg("--k-max", type=int, default=10, help="number of zeros (default 10)")
 
-    arg = command("eigen", "principal eigenvalue data at one parameter")
+    arg = command("eigen", _cmd_eigen,
+                  "principal eigenvalue data at one parameter")
     arg("--a", type=float, default=1.0, help="operator parameter (default 1)")
     arg("--dump-eigenfunction", action="store_true",
         help="emit the (h, x) grid instead of the summary row")
 
-    arg = command("rate-curve", "rate function on a grid of endpoint slopes")
+    arg = command("rate-curve", _cmd_rate_curve,
+                  "rate function on a grid of endpoint slopes")
     arg("--bmin", type=float, default=0.0)
     arg("--bmax", type=float, default=3.0)
     arg("--step", type=float, default=0.01)
     arg("--beta", type=float, default=1.0,
         help="coupling; curves rescale by beta^(2/3) (default 1)")
 
-    arg = command("mgf-curve", "positive-part generating function on a grid")
+    arg = command("mgf-curve", _cmd_mgf_curve,
+                  "positive-part generating function on a grid")
     arg("--mumin", type=float, default=0.0)
     arg("--mumax", type=float, default=2.0)
     arg("--step", type=float, default=0.01)
 
-    arg = command("w-profile", "overshoot density profile in h at fixed t")
+    arg = command("w-profile", _cmd_w_profile,
+                  "overshoot density profile in h at fixed t")
     arg("--t", type=float, required=True, help="time argument")
     arg("--K", type=int, default=200, help="expansion terms (default 200)")
     arg("--hmax", type=float, default=8.0, help="grid end (default 8)")
     arg("--npts", type=int, default=161, help="grid size (default 161)")
 
-    arg = command("w-coeffs", "expansion coefficients of the overshoot density")
+    arg = command("w-coeffs", _cmd_w_coeffs,
+                  "expansion coefficients of the overshoot density")
     arg("--K", type=int, default=50, help="number of terms (default 50)")
 
-    arg = command("besq-validate", "squared-Bessel oracle suite; exit 1 on breach")
+    arg = command("besq-validate", _cmd_besq_validate,
+                  "squared-Bessel oracle suite; exit 1 on breach")
     arg("--suite", default="all",
         help="comma list from absorption,y,w,tilted (default all)")
     arg("--n", type=int, default=40000, help="paths per check (default 40000)")
@@ -447,15 +410,18 @@ def _build_parser():
             arg("--mu", type=float, default=None,
                 help="tilt; when given, emit the generating-function row")
 
-    arg = command("polymer", "one weighted-ensemble estimate row")
+    arg = command("polymer", _cmd_polymer,
+                  "one weighted-ensemble estimate row")
     polymer_args(arg, mu=True)
 
-    arg = command("collapse", "coupling-rescaling z-scores; exit 1 on breach")
+    arg = command("collapse", _cmd_collapse,
+                  "coupling-rescaling z-scores; exit 1 on breach")
     arg("--betas", default="0.5,1,2",
         help="comma list of couplings (default 0.5,1,2)")
     polymer_args(arg)
 
-    arg = command("rayknight", "profile-decomposition suite; exit 1 on breach")
+    arg = command("rayknight", _cmd_rayknight,
+                  "profile-decomposition suite; exit 1 on breach")
     arg("--a", type=float, default=1.0, help="tilt parameter (default 1)")
     arg("--checks", default="unconditional,swap",
         help="comma list from unconditional,swap,bookkeeping")
@@ -466,33 +432,20 @@ def _build_parser():
     return top, registry
 
 
-_DISPATCH = {
-    "constants": _cmd_constants,
-    "airy-zeros": _cmd_airy_zeros,
-    "eigen": _cmd_eigen,
-    "rate-curve": _cmd_rate_curve,
-    "mgf-curve": _cmd_mgf_curve,
-    "w-profile": _cmd_w_profile,
-    "w-coeffs": _cmd_w_coeffs,
-    "besq-validate": _cmd_besq_validate,
-    "polymer": _cmd_polymer,
-    "collapse": _cmd_collapse,
-    "rayknight": _cmd_rayknight,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, registry = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        _apply_sources(args, argv, registry)
-        header, rows, failed = _DISPATCH[args.command](args)
+        tokens = _source_tokens(args, registry[args.command])
+        if tokens:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        header, rows, failed = args.run(args)
         _write(_render(header, rows, args.format), args.output)
         return 1 if failed else 0
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
     except (ConditioningError, DegeneracyError) as exc:
         print(f"edwards1d: validation failure: {exc}", file=sys.stderr)
         return 1

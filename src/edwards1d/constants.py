@@ -148,9 +148,9 @@ def compute_constants(cfg: SolverConfig | None = None, use_cache: bool = True) -
     c_star = math.sqrt(r2_star) / r1_star ** 1.5
 
     a_2star = _airy_a_2star()
-    r1_2star, _ = rho_derivative(a_2star, cfg)
-    b_2star = 1.0 / r1_2star
-    rho_2star = principal_eigen(a_2star, cfg).rho
+    sol_2star = principal_eigen(a_2star, cfg)
+    b_2star = 1.0 / sol_2star.rho1
+    rho_2star = sol_2star.rho
 
     # internal consistency: c_star^2 rho'(a*)^3 must reproduce rho''(a*)
     resid = abs(c_star ** 2 * r1_star ** 3 - r2_star)

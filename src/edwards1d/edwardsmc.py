@@ -669,11 +669,19 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
        boundary-kernel decomposition evaluated by simulation (piece
        areas as the kernel arguments, the middle piece under the
        eigenfunction-weighted law).
+
+    Raises DomainError for an unknown check or a swap check with fewer
+    than 3 quintuples, and ConditioningError when fewer than 3 paired
+    composite samples survive the swap check's acceptance windows.
     """
     a = float(a)
     unknown = set(checks) - {"unconditional", "swap", "bookkeeping"}
     if unknown:
-        raise DomainError(f"unknown checks: {sorted(unknown)!r}")
+        raise DomainError(f"unknown checks: {sorted(unknown)!r}; choose from "
+                          f"unconditional, swap, bookkeeping")
+    if "swap" in checks and n_quintuples < 3:
+        raise DomainError(f"the swap check needs n_quintuples >= 3, "
+                          f"got {n_quintuples!r}")
     sol = principal_eigen(a)
     nan = math.nan
 
@@ -720,6 +728,10 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         if math.isnan(acc_rate):
             acc_rate = acc_a
         k = min(len(comp_a), len(comp_sw))
+        # two samples have equal squared deviations: no variance error
+        if k < 3:
+            raise ConditioningError(f"the swap check kept {k} paired composite "
+                                    f"samples; it needs at least 3")
         za = comp_a[:k]
         zb = comp_sw[:k]
         se_m = math.hypot(float(np.std(za)), float(np.std(zb))) / math.sqrt(k)
@@ -744,8 +756,7 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
 
 
 def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
-                       h_all: np.ndarray, endp: np.ndarray,
-                       n_rhs: int = 8000):
+                       h_all: np.ndarray, endp: np.ndarray):
     """Both sides of the weighted boundary identity at tilt a.
 
     Left: e^{aT} E[e^{-H_T} e^{-rho(a) B_T}; B_T >= 0] from the direct
@@ -760,7 +771,7 @@ def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
     lhs = float(np.mean(w))
     lhs_se = float(np.std(w) / math.sqrt(len(w)))
 
-    n = int(n_rhs)
+    n = 8000  # right-hand-side samples
     g = _rng(cfg.seed, 3_000_017)
     x0 = _equilibrium_draw(sol)(g, n)
     xa0 = np.interp(x0, sol.h, sol.x)

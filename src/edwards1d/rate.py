@@ -147,6 +147,7 @@ class LegendreReport:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_N_GRID = 25  # coarse scan of the duality checks before the golden search
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -166,8 +167,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def legendre_check(b: float, cfg: SolverConfig | None = None,
-                   consts: ModelConstants | None = None,
-                   n_grid: int = 25) -> LegendreReport:
+                   consts: ModelConstants | None = None) -> LegendreReport:
     """Recompute I(b) as sup_mu (mu b - lambda_plus(mu)) and report the gap.
 
     The supremum runs over a as sup_{a <= a_2star} (a - b rho(a)) with the
@@ -184,12 +184,12 @@ def legendre_check(b: float, cfg: SolverConfig | None = None,
     # as rho(a) < -sqrt(-2a) puts a = -mu_hi^2/2 - 2 at mu > mu_hi
     mu_hi = max(2.0, 1.5 * (direct / max(b, 0.25)) + 2.0)
     f = lambda a: a - b * _rho(a, cfg)
-    grid = np.linspace(-(mu_hi * mu_hi) / 2.0 - 2.0, consts.a_2star, n_grid)
+    grid = np.linspace(-(mu_hi * mu_hi) / 2.0 - 2.0, consts.a_2star, _N_GRID)
     vals = np.array([f(a) for a in grid])
     i = int(np.argmax(vals))
     if i == 0:
         raise SolverError(f"legendre_check: supremum not bracketed at b = {b:g}")
-    a_best, dual = _golden_max(f, grid[i - 1], grid[min(i + 1, n_grid - 1)], 1e-4)
+    a_best, dual = _golden_max(f, grid[i - 1], grid[min(i + 1, _N_GRID - 1)], 1e-4)
     mu_best = -_rho(a_best, cfg)
     # for b <= b_2star the supremum is the kink itself
     kink_val = b * kink + consts.a_2star
@@ -201,7 +201,7 @@ def legendre_check(b: float, cfg: SolverConfig | None = None,
 
 def lambda_from_rate(mu: float, cfg: SolverConfig | None = None,
                      consts: ModelConstants | None = None,
-                     b_hi: float = 12.0, n_grid: int = 25) -> float:
+                     b_hi: float = 12.0) -> float:
     """Involution partner: recompute lambda_plus as sup_{b <= b_hi} (mu b - I(b)).
 
     The linear segment is maximised in closed form and the envelope over a
@@ -225,10 +225,10 @@ def lambda_from_rate(mu: float, cfg: SolverConfig | None = None,
     def g(a):
         sol = principal_eigen(a, cfg)
         return (mu + sol.rho) / sol.rho1 - a
-    grid = np.linspace(a_lo, a_2s, n_grid)
+    grid = np.linspace(a_lo, a_2s, _N_GRID)
     vals = np.array([g(a) for a in grid])
     i = int(np.argmax(vals))
-    _, best = _golden_max(g, grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)], 1e-4)
+    _, best = _golden_max(g, grid[max(i - 1, 0)], grid[min(i + 1, _N_GRID - 1)], 1e-4)
     return max(best, linear)
 
 

@@ -325,8 +325,7 @@ def green_apply(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     return GREEN_K * (y2 * a + y1 * b)
 
 
-def heat_evolve(u0: np.ndarray, h: np.ndarray, tau: float,
-                n_steps: int | None = None) -> np.ndarray:
+def heat_evolve(u0: np.ndarray, h: np.ndarray, tau: float) -> np.ndarray:
     """Evolve u0 by e^{tau L} on a uniform grid with Dirichlet endpoints.
 
     Crank-Nicolson in time; the first two steps are implicit-Euler
@@ -347,9 +346,8 @@ def heat_evolve(u0: np.ndarray, h: np.ndarray, tau: float,
         return u0.copy()
     d = dh[0]
     n = len(h)
-    if n_steps is None:
-        # keep the time step comparable to the grid spacing
-        n_steps = max(64, int(math.ceil(tau / d)))
+    # keep the time step comparable to the grid spacing
+    n_steps = max(64, int(math.ceil(tau / d)))
     dt = tau / n_steps
 
     main = -4.0 / d**2 - h[1:-1]

@@ -91,7 +91,6 @@ class EigenSolution:
 _cache_lock = threading.Lock()
 _cache: dict = {}
 _CACHE_MAX = 512
-cache_enabled = True
 
 
 def clear_cache() -> None:
@@ -190,11 +189,10 @@ def principal_eigen(a: float, cfg: SolverConfig | None = None) -> EigenSolution:
     if cfg is None:
         cfg = SolverConfig()
     key = (a, cfg.n, cfg.h_max, cfg.tol, cfg.refine_levels)
-    if cache_enabled:
-        with _cache_lock:
-            hit = _cache.get(key)
-        if hit is not None:
-            return hit
+    with _cache_lock:
+        hit = _cache.get(key)
+    if hit is not None:
+        return hit
 
     h_max = _resolve_h_max(a, cfg)
     ns = [cfg.n * (2**lvl) for lvl in range(cfg.refine_levels + 1)]
@@ -227,11 +225,10 @@ def principal_eigen(a: float, cfg: SolverConfig | None = None) -> EigenSolution:
     h, x, w, n_fin = finest
     sol = EigenSolution(a=a, rho=rho, rho1=rho1, h=h, x=x, weights=w,
                         n=n_fin, h_max=h_max)
-    if cache_enabled:
-        with _cache_lock:
-            if len(_cache) >= _CACHE_MAX:
-                _cache.pop(next(iter(_cache)))
-            _cache.setdefault(key, sol)
+    with _cache_lock:
+        if len(_cache) >= _CACHE_MAX:
+            _cache.pop(next(iter(_cache)))
+        _cache.setdefault(key, sol)
     return sol
 
 

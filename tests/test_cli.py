@@ -203,6 +203,21 @@ class TestPolymerCommands:
         assert lines[0].startswith("direct_mean,direct_se,")
         assert len(lines) == 2
 
+    def test_rayknight_unknown_check(self, capsys):
+        rc, out, err = run_cli(capsys, "rayknight", "--T", "2",
+                               "--checks", "unconditonal")
+        assert rc == 2 and out == ""
+        assert "unconditional, swap, bookkeeping" in err
+
+    @pytest.mark.parametrize("quintuples", ["1", "2"])
+    def test_rayknight_too_few_quintuples(self, capsys, quintuples):
+        # these ended in a ZeroDivisionError traceback (exit 1) or, with 2,
+        # in a swap-variance z of order 1e14 from a zero standard error
+        rc, out, err = run_cli(capsys, "rayknight", "--T", "1", "--n", "500",
+                               "--quintuples", quintuples)
+        assert rc == 2 and out == ""
+        assert "quintuples" in err and "Traceback" not in err
+
     def test_collapse_rows(self, capsys):
         rc, out, _ = run_cli(capsys, "collapse", "--betas", "1",
                              "--T", "2", "--n", "2000", "--seed", "4")
@@ -297,6 +312,43 @@ class TestPlumbing:
         monkeypatch.setenv(cli.ENV_SEED, "twelve")
         rc, _, err = run_cli(capsys, "polymer", "--T", "2", "--n", "1000")
         assert rc == 2 and cli.ENV_SEED in err
+
+    def test_abbreviated_flag_beats_config_and_env(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # argparse reads --se as --seed; the precedence must hold for it too
+        monkeypatch.setenv(cli.ENV_SEED, "55")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = 9\n")
+        for extra in ([], ["--config", str(cfgfile)]):
+            rc, out, _ = run_cli(capsys, "polymer", "--T", "0.5", "--n", "200",
+                                 "--se", "3", *extra)
+            rec = dict(zip(*[ln.split(",") for ln in out.strip().split("\n")]))
+            assert rc == 0 and rec["seed"] == "3"
+
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("format = xml\n")
+        rc, out, err = run_cli(capsys, "constants", "--config", str(cfgfile))
+        assert rc == 2 and out == ""
+        assert "--format" in err and "invalid choice" in err
+
+    def test_config_value_may_start_with_minus(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("betas = -1,2\n")
+        rc, out, err = run_cli(capsys, "collapse", "--config", str(cfgfile))
+        # the value reaches scaling_collapse, which rejects the coupling
+        assert rc == 2 and out == ""
+        assert "betas must be positive" in err
+
+    def test_config_boolean_flag(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dump-eigenfunction = yes\na = 0\n")
+        rc, out, _ = run_cli(capsys, "eigen", "--config", str(cfgfile))
+        lines = out.strip().split("\n")
+        assert rc == 0 and lines[0] == "h,x" and len(lines) > 1000
+        cfgfile.write_text("dump-eigenfunction = maybe\n")
+        rc, out, err = run_cli(capsys, "eigen", "--config", str(cfgfile))
+        assert rc == 2 and out == "" and "expected a boolean" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "edwards1d.cli",

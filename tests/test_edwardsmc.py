@@ -398,6 +398,15 @@ class TestRayKnight:
         with pytest.raises(DomainError):
             rayknight_consistency(1.0, self.CFG, checks=("unconditonal",))
 
+    def test_swap_check_needs_three_paired_samples(self, monkeypatch):
+        # two surviving samples have equal squared deviations, so the
+        # variance z would divide by zero
+        monkeypatch.setattr(edwardsmc, "_composite_h",
+                            lambda g, q, cfg, swap: (np.array([1.0, 2.0]), 0.5))
+        with pytest.raises(ConditioningError, match="paired"):
+            rayknight_consistency(1.0, self.CFG, n_quintuples=3,
+                                  checks=("swap",))
+
     def test_vanishing_window_raises_conditioning_error(self):
         g = _rng(0, 1)
         quintuples = [(0.5, 0.4, 0.4, 0.3, 0.3)] * 8
