@@ -40,7 +40,7 @@ import numpy as np
 
 from .airy import a_2star
 from .errors import DegeneracyError, DomainError, HorizonError, NumericError
-from .sturm import SolverConfig, principal_eigen
+from .sturm import principal_eigen
 
 CHUNK = 4096
 
@@ -452,13 +452,13 @@ def _equilibrium_draw(sol):
     return draw
 
 
-def equilibrium_sampler(a: float, cfg: SolverConfig | None = None):
+def equilibrium_sampler(a: float):
     """Inverse-CDF sampler for the equilibrium density x_a(h)^2 dh.
 
     Returns (draw, sol) where draw(generator, size) samples starting
     points and sol is the eigenfunction solution used for evaluation.
     """
-    sol = principal_eigen(a, cfg)
+    sol = principal_eigen(a)
     return _equilibrium_draw(sol), sol
 
 

@@ -14,7 +14,6 @@ the error stream only, so captured output stays machine-parseable.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -72,22 +71,10 @@ def _write(text: str, path):
         raise
 
 
-def _artifact_fingerprint() -> str:
-    root = os.path.dirname(os.path.abspath(__file__))
-    dig = hashlib.sha256()
-    for name in sorted(os.listdir(root)):
-        if not name.endswith(".py"):
-            continue
-        dig.update(name.encode())
-        with open(os.path.join(root, name), "rb") as fh:
-            dig.update(fh.read())
-    return dig.hexdigest()[:16]
-
-
 def _version_text() -> str:
-    return (f"edwards1d {__version__} "
-            f"artifact={_artifact_fingerprint()} "
-            f"constants={constants.fingerprint()}")
+    # the constants cache is keyed on the package's source, so both are one hash
+    fp = constants.fingerprint()
+    return f"edwards1d {__version__} artifact={fp} constants={fp}"
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +423,18 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, registry = _build_parser()
     try:
+        # the first parse only finds the subcommand and its --config, so it
+        # leaves required options to the second, which sees the config values
+        required = [act for acts in registry.values() for act in acts.values()
+                    if act.required]
+        for act in required:
+            act.required = False
         args = parser.parse_args(argv)
+        for act in required:
+            act.required = True
         tokens = _source_tokens(args, registry[args.command])
-        if tokens:
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
         header, rows, failed = args.run(args)
         _write(_render(header, rows, args.format), args.output)
         return 1 if failed else 0

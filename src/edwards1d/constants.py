@@ -11,9 +11,9 @@ generating function downstream:
     b_2star  : 1 / rho'(a_2star), where the rate function stops being linear,
     rho_2star: rho(a_2star), the linear-segment slope parameter.
 
-All six are deterministic given the eigenvalue solver configuration, so the
-computed values are memoized in a small CSV cache keyed by a fingerprint of
-the solver parameters.  Writes are atomic (temp file then rename).
+All six are fixed by the package's code, so the computed values are
+memoized in a small CSV cache keyed by a fingerprint of the package's
+source files.  Writes are atomic (temp file then rename).
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from scipy.optimize import brentq
 
 from .airy import a_2star as _airy_a_2star
 from .errors import NumericError, SolverError
-from .sturm import SolverConfig, principal_eigen, rho_derivative
-
-_FORMULA_VERSION = 2
+from .sturm import principal_eigen, rho_derivative
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,17 @@ def _cache_path() -> str:
     return os.path.join(base, "edwards1d", "constants.csv")
 
 
-def fingerprint(cfg: SolverConfig | None = None) -> str:
-    """Short hash identifying solver parameters and formula version."""
-    if cfg is None:
-        cfg = SolverConfig()
-    blob = f"v{_FORMULA_VERSION}|n={cfg.n}|h_max={cfg.h_max}|tol={cfg.tol}|levels={cfg.refine_levels}"
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+@lru_cache(maxsize=None)
+def fingerprint() -> str:
+    """Short sha256 of the package's .py files, computed once per process."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    dig = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            dig.update(name.encode())
+            with open(os.path.join(root, name), "rb") as fh:
+                dig.update(fh.read())
+    return dig.hexdigest()[:16]
 
 
 def _read_cache(path: str, fp: str) -> ModelConstants | None:
@@ -109,46 +113,31 @@ def _write_cache(path: str, fp: str, consts: ModelConstants) -> None:
             pass
 
 
-def _find_a_star(cfg: SolverConfig) -> float:
-    lo, hi = 1.0, 3.0
-    f = lambda a: principal_eigen(a, cfg).rho
-    flo, fhi = f(lo), f(hi)
-    # expand the bracket if the default one does not straddle the root
-    grow = 0
-    while flo > 0.0 and grow < 8:
-        lo -= 2.0 ** grow
-        flo = f(lo)
-        grow += 1
-    grow = 0
-    while fhi < 0.0 and grow < 8:
-        hi += 2.0 ** grow
-        fhi = f(hi)
-        grow += 1
-    if flo > 0.0 or fhi < 0.0:
-        raise SolverError(f"could not bracket the root of rho: rho({lo})={flo}, rho({hi})={fhi}")
-    return brentq(f, lo, hi, xtol=1e-10, rtol=8.9e-16)
+def _find_a_star() -> float:
+    f = lambda a: principal_eigen(a).rho
+    if f(1.0) > 0.0 or f(3.0) < 0.0:
+        raise SolverError("the root of rho is not bracketed by [1, 3]")
+    return brentq(f, 1.0, 3.0, xtol=1e-10, rtol=8.9e-16)
 
 
-def compute_constants(cfg: SolverConfig | None = None, use_cache: bool = True) -> ModelConstants:
+def compute_constants(use_cache: bool = True) -> ModelConstants:
     """Compute (or load from cache) the six critical constants."""
-    if cfg is None:
-        cfg = SolverConfig()
-    fp = fingerprint(cfg)
+    fp = fingerprint()
     path = _cache_path()
     if use_cache:
         hit = _read_cache(path, fp)
         if hit is not None:
             return hit
 
-    a_star = _find_a_star(cfg)
-    if abs(principal_eigen(a_star, cfg).rho) > 1e-6:
+    a_star = _find_a_star()
+    if abs(principal_eigen(a_star).rho) > 1e-6:
         raise NumericError(f"root refinement failed: rho({a_star}) != 0")
-    r1_star, r2_star = rho_derivative(a_star, cfg)
+    r1_star, r2_star = rho_derivative(a_star)
     b_star = 1.0 / r1_star
     c_star = math.sqrt(r2_star) / r1_star ** 1.5
 
     a_2star = _airy_a_2star()
-    sol_2star = principal_eigen(a_2star, cfg)
+    sol_2star = principal_eigen(a_2star)
     b_2star = 1.0 / sol_2star.rho1
     rho_2star = sol_2star.rho
 

@@ -670,11 +670,14 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
        areas as the kernel arguments, the middle piece under the
        eigenfunction-weighted law).
 
-    Raises DomainError for an unknown check or a swap check with fewer
-    than 3 quintuples, and ConditioningError when fewer than 3 paired
+    Raises DomainError for an empty or unknown check list or a swap check
+    with fewer than 3 quintuples, and ConditioningError when fewer than 3 paired
     composite samples survive the swap check's acceptance windows.
     """
     a = float(a)
+    if not checks:
+        raise DomainError("no checks selected; choose from unconditional, "
+                          "swap, bookkeeping")
     unknown = set(checks) - {"unconditional", "swap", "bookkeeping"}
     if unknown:
         raise DomainError(f"unknown checks: {sorted(unknown)!r}; choose from "

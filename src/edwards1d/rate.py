@@ -35,106 +35,77 @@ from scipy.optimize import brentq
 
 from .constants import ModelConstants, compute_constants
 from .errors import DomainError, SolverError
-from .sturm import SolverConfig, principal_eigen
+from .sturm import principal_eigen
 
 
-def _rho(a: float, cfg: SolverConfig) -> float:
-    return principal_eigen(a, cfg).rho
+def _rho(a: float) -> float:
+    return principal_eigen(a).rho
 
 
-def _rho1(a: float, cfg: SolverConfig) -> float:
-    return principal_eigen(a, cfg).rho1
+def _resolve(consts: ModelConstants | None) -> ModelConstants:
+    return compute_constants() if consts is None else consts
 
 
-def _resolve(cfg: SolverConfig | None, consts: ModelConstants | None):
-    if cfg is None:
-        cfg = SolverConfig()
-    if consts is None:
-        consts = compute_constants(cfg)
-    return cfg, consts
+def _solve_a(field: str, target: float, lo: float, consts: ModelConstants) -> float:
+    """Solve principal_eigen(a).<field> = target on [lo, a_2star].
+
+    Both rho and rho' increase in a, and every caller's target lies below
+    the field's value at a_2star; SolverError when it also lies below the
+    value at lo.
+    """
+    f = lambda a: getattr(principal_eigen(a), field) - target
+    if f(lo) > 0.0:
+        raise SolverError(f"could not bracket {field} = {target:g} above a = {lo:g}")
+    return brentq(f, lo, consts.a_2star, xtol=1e-11, rtol=8.9e-16)
 
 
-def _a_of_mu(mu: float, cfg: SolverConfig, consts: ModelConstants) -> float:
-    """Solve rho(a) = -mu for mu >= -rho(a_2star)."""
-    target = -mu
-    hi = consts.a_2star
-    # deep-negative asymptote rho ~ -sqrt(2)(-a)^{1/2} guides the lower end
-    lo = min(-1.0, -(mu * mu) / 2.0 - 2.0)
-    f = lambda a: _rho(a, cfg) - target
-    flo = f(lo)
-    grow = 0
-    while flo > 0.0 and grow < 60:
-        lo = 2.0 * lo - 1.0
-        flo = f(lo)
-        grow += 1
-    if flo > 0.0:
-        raise SolverError(f"could not bracket rho = {target:g}")
-    return brentq(f, lo, hi, xtol=1e-11, rtol=8.9e-16)
+def _a_of_b(b: float, consts: ModelConstants) -> float:
+    """Solve rho'(a) = 1/b for b > b_2star."""
+    return _solve_a("rho1", 1.0 / b, min(-1.0, -(b * b) / 2.0 * 1.5 - 4.0), consts)
 
 
-def lambda_plus(mu: float, cfg: SolverConfig | None = None,
-                consts: ModelConstants | None = None) -> float:
+def lambda_plus(mu: float, consts: ModelConstants | None = None) -> float:
     """One-sided scaled cumulant generating function."""
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu!r}")
-    cfg, consts = _resolve(cfg, consts)
-    kink = -consts.rho_2star
-    if mu <= kink:
+    consts = _resolve(consts)
+    if mu <= -consts.rho_2star:
         return -consts.a_2star
-    return -_a_of_mu(mu, cfg, consts)
+    # deep-negative asymptote rho ~ -sqrt(2)(-a)^{1/2} guides the lower end
+    return -_solve_a("rho", -mu, min(-1.0, -(mu * mu) / 2.0 - 2.0), consts)
 
 
-def lambda_full(mu: float, cfg: SolverConfig | None = None,
-                consts: ModelConstants | None = None) -> float:
+def lambda_full(mu: float, consts: ModelConstants | None = None) -> float:
     """Two-sided version, even in mu."""
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu!r}")
-    return lambda_plus(abs(mu), cfg, consts)
+    return lambda_plus(abs(mu), consts)
 
 
-def _a_of_b(b: float, cfg: SolverConfig, consts: ModelConstants) -> float:
-    """Solve rho'(a) = 1/b for b > b_2star (rho' is increasing in a)."""
-    target = 1.0 / b
-    hi = consts.a_2star
-    lo = min(-1.0, -(b * b) / 2.0 * 1.5 - 4.0)
-    f = lambda a: _rho1(a, cfg) - target
-    flo = f(lo)
-    grow = 0
-    while flo > 0.0 and grow < 60:
-        lo = 2.0 * lo - 1.0
-        flo = f(lo)
-        grow += 1
-    if flo > 0.0:
-        raise SolverError(f"could not bracket rho' = {target:g}")
-    return brentq(f, lo, hi, xtol=1e-11, rtol=8.9e-16)
-
-
-def rate_I(b: float, cfg: SolverConfig | None = None,
-           consts: ModelConstants | None = None) -> float:
+def rate_I(b: float, consts: ModelConstants | None = None) -> float:
     """Rate function of the scaled endpoint displacement, b >= 0."""
     b = float(b)
     if not math.isfinite(b) or b < 0.0:
         raise DomainError(f"rate_I requires b >= 0, got {b!r}")
-    cfg, consts = _resolve(cfg, consts)
+    consts = _resolve(consts)
     if b <= consts.b_2star:
         return consts.a_2star - b * consts.rho_2star
-    a_b = _a_of_b(b, cfg, consts)
-    return a_b - b * _rho(a_b, cfg)
+    a_b = _a_of_b(b, consts)
+    return a_b - b * _rho(a_b)
 
 
-def rate_derivative(b: float, cfg: SolverConfig | None = None,
-                    consts: ModelConstants | None = None) -> float:
+def rate_derivative(b: float, consts: ModelConstants | None = None) -> float:
     """dI/db; on the envelope branch this is -rho(a_b) (a_b is stationary)."""
     b = float(b)
     if not math.isfinite(b) or b < 0.0:
         raise DomainError(f"rate_derivative requires b >= 0, got {b!r}")
-    cfg, consts = _resolve(cfg, consts)
+    consts = _resolve(consts)
     if b <= consts.b_2star:
         return -consts.rho_2star
-    a_b = _a_of_b(b, cfg, consts)
-    return -_rho(a_b, cfg)
+    a_b = _a_of_b(b, consts)
+    return -_rho(a_b)
 
 
 @dataclass(frozen=True)
@@ -166,8 +137,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (0.5 * (lo + hi), max(f1, f2))
 
 
-def legendre_check(b: float, cfg: SolverConfig | None = None,
-                   consts: ModelConstants | None = None) -> LegendreReport:
+def legendre_check(b: float, consts: ModelConstants | None = None) -> LegendreReport:
     """Recompute I(b) as sup_mu (mu b - lambda_plus(mu)) and report the gap.
 
     The supremum runs over a as sup_{a <= a_2star} (a - b rho(a)) with the
@@ -177,20 +147,20 @@ def legendre_check(b: float, cfg: SolverConfig | None = None,
     b = float(b)
     if not math.isfinite(b) or b < 0.0:
         raise DomainError(f"legendre_check requires b >= 0, got {b!r}")
-    cfg, consts = _resolve(cfg, consts)
-    direct = rate_I(b, cfg, consts)
+    consts = _resolve(consts)
+    direct = rate_I(b, consts=consts)
     kink = -consts.rho_2star
     # the argmax lies at mu = -rho(a_b) >= kink; cover mu <= mu_hi with margin,
     # as rho(a) < -sqrt(-2a) puts a = -mu_hi^2/2 - 2 at mu > mu_hi
     mu_hi = max(2.0, 1.5 * (direct / max(b, 0.25)) + 2.0)
-    f = lambda a: a - b * _rho(a, cfg)
+    f = lambda a: a - b * _rho(a)
     grid = np.linspace(-(mu_hi * mu_hi) / 2.0 - 2.0, consts.a_2star, _N_GRID)
     vals = np.array([f(a) for a in grid])
     i = int(np.argmax(vals))
     if i == 0:
         raise SolverError(f"legendre_check: supremum not bracketed at b = {b:g}")
     a_best, dual = _golden_max(f, grid[i - 1], grid[min(i + 1, _N_GRID - 1)], 1e-4)
-    mu_best = -_rho(a_best, cfg)
+    mu_best = -_rho(a_best)
     # for b <= b_2star the supremum is the kink itself
     kink_val = b * kink + consts.a_2star
     if kink_val > dual:
@@ -199,8 +169,7 @@ def legendre_check(b: float, cfg: SolverConfig | None = None,
                           gap=abs(direct - dual), mu_argmax=mu_best)
 
 
-def lambda_from_rate(mu: float, cfg: SolverConfig | None = None,
-                     consts: ModelConstants | None = None,
+def lambda_from_rate(mu: float, consts: ModelConstants | None = None,
                      b_hi: float = 12.0) -> float:
     """Involution partner: recompute lambda_plus as sup_{b <= b_hi} (mu b - I(b)).
 
@@ -212,18 +181,18 @@ def lambda_from_rate(mu: float, cfg: SolverConfig | None = None,
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu!r}")
-    cfg, consts = _resolve(cfg, consts)
+    consts = _resolve(consts)
     if not b_hi > consts.b_2star:
         raise DomainError(f"b_hi must exceed b_2star = {consts.b_2star:.9g}, got {b_hi!r}")
     a_2s = consts.a_2star
     linear = max(-a_2s, consts.b_2star * (mu + consts.rho_2star) - a_2s)
-    a_lo = _a_of_b(b_hi, cfg, consts)
-    mu_max = -_rho(a_lo, cfg)
+    a_lo = _a_of_b(b_hi, consts)
+    mu_max = -_rho(a_lo)
     if mu > mu_max:
         raise DomainError(f"lambda_from_rate with b_hi = {b_hi:g} requires "
                           f"mu <= {mu_max:.9g}, got {mu!r}")
     def g(a):
-        sol = principal_eigen(a, cfg)
+        sol = principal_eigen(a)
         return (mu + sol.rho) / sol.rho1 - a
     grid = np.linspace(a_lo, a_2s, _N_GRID)
     vals = np.array([g(a) for a in grid])
@@ -232,8 +201,7 @@ def lambda_from_rate(mu: float, cfg: SolverConfig | None = None,
     return max(best, linear)
 
 
-def rate_I_scaled(b: float, beta: float, cfg: SolverConfig | None = None,
-                  consts: ModelConstants | None = None) -> float:
+def rate_I_scaled(b: float, beta: float, consts: ModelConstants | None = None) -> float:
     """Rate function at repulsion strength beta via the scaling relation
 
         I_beta(b) = beta^{2/3} I(beta^{-1/3} b).
@@ -242,14 +210,13 @@ def rate_I_scaled(b: float, beta: float, cfg: SolverConfig | None = None,
     if not math.isfinite(beta) or beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     s = beta ** (1.0 / 3.0)
-    return s * s * rate_I(float(b) / s, cfg, consts)
+    return s * s * rate_I(float(b) / s, consts)
 
 
-def lambda_scaled(mu: float, beta: float, cfg: SolverConfig | None = None,
-                  consts: ModelConstants | None = None) -> float:
+def lambda_scaled(mu: float, beta: float, consts: ModelConstants | None = None) -> float:
     """MGF at repulsion strength beta: beta^{2/3} lambda(beta^{-1/3} mu)."""
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     s = beta ** (1.0 / 3.0)
-    return s * s * lambda_full(float(mu) / s, cfg, consts)
+    return s * s * lambda_full(float(mu) / s, consts)

@@ -209,6 +209,14 @@ class TestPolymerCommands:
         assert rc == 2 and out == ""
         assert "unconditional, swap, bookkeeping" in err
 
+    @pytest.mark.parametrize("checks", ["", " , "])
+    def test_rayknight_empty_checks(self, capsys, checks):
+        # no check run must not read as a passing suite
+        rc, out, err = run_cli(capsys, "rayknight", "--T", "0.5", "--n", "200",
+                               "--checks", checks)
+        assert rc == 2 and out == ""
+        assert "no checks" in err
+
     @pytest.mark.parametrize("quintuples", ["1", "2"])
     def test_rayknight_too_few_quintuples(self, capsys, quintuples):
         # these ended in a ZeroDivisionError traceback (exit 1) or, with 2,
@@ -339,6 +347,23 @@ class TestPlumbing:
         # the value reaches scaling_collapse, which rejects the coupling
         assert rc == 2 and out == ""
         assert "betas must be positive" in err
+
+    def test_required_option_from_config(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("t = 0.8\nnpts = 5\n")
+        rc, out, err = run_cli(capsys, "w-profile", "--config", str(cfgfile))
+        assert rc == 0 and err == ""
+        rc, flag_out, _ = run_cli(capsys, "w-profile", "--t", "0.8",
+                                  "--npts", "5")
+        assert out == flag_out
+
+    def test_required_option_missing(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("npts = 5\n")
+        for extra in ([], ["--config", str(cfgfile)]):
+            rc, out, err = run_cli(capsys, "w-profile", *extra)
+            assert rc == 2 and out == ""
+            assert "required" in err and "--t" in err
 
     def test_config_boolean_flag(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

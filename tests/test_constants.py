@@ -2,12 +2,16 @@
 
 import math
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import edwards1d
 from edwards1d.airy import airy_zeros
 from edwards1d.constants import ModelConstants, compute_constants, fingerprint
-from edwards1d.sturm import SolverConfig, principal_eigen, rho_derivative
+from edwards1d.sturm import principal_eigen, rho_derivative
 
 # published targets for the six constants, all to +-0.01
 TARGETS = {
@@ -112,8 +116,36 @@ def test_cache_garbage_ignored(tmp_path, monkeypatch):
     assert abs(c.a_star - PINS["a_star"]) < 1e-7
 
 
-def test_fingerprint_depends_on_config():
-    assert fingerprint(SolverConfig()) != fingerprint(SolverConfig(n=3000))
+def test_stale_cache_ignored(tmp_path, monkeypatch):
+    # the pins were cached under a key that outlived a change of the code
+    # behind them (a_2star moved by 1.7e-15); a cache keyed on the source
+    # must not return them
+    path = tmp_path / "cache.csv"
+    monkeypatch.setenv("EDWARDS1D_CONSTANTS_CACHE", str(path))
+    rows = [("fingerprint", "ff782fac1f05")]
+    rows += [(name, format(val, ".17g")) for name, val in PINS.items()]
+    path.write_text("".join(f"{k},{v}\n" for k, v in rows))
+    assert compute_constants() == compute_constants(use_cache=False)
+
+
+def test_fingerprint_follows_the_source(tmp_path):
+    # the cache key changes when any of the package's files does
+    src = os.path.dirname(os.path.dirname(edwards1d.__file__))
+    pkg = tmp_path / "edwards1d"
+    shutil.copytree(os.path.join(src, "edwards1d"), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    probe = "from edwards1d.constants import fingerprint; print(fingerprint())"
+
+    def key():
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    before = key()
+    assert before == fingerprint()
+    with open(pkg / "rate.py", "a") as fh:
+        fh.write("# edited\n")
+    assert key() != before
 
 
 def test_as_dict(consts):

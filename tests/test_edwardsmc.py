@@ -398,6 +398,11 @@ class TestRayKnight:
         with pytest.raises(DomainError):
             rayknight_consistency(1.0, self.CFG, checks=("unconditonal",))
 
+    def test_empty_check_list_rejected(self):
+        # a suite that runs no check must not report success
+        with pytest.raises(DomainError, match="no checks"):
+            rayknight_consistency(1.0, self.CFG, checks=())
+
     def test_swap_check_needs_three_paired_samples(self, monkeypatch):
         # two surviving samples have equal squared deviations, so the
         # variance z would divide by zero

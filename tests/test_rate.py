@@ -163,7 +163,7 @@ def test_involution_fails_past_b_hi():
 def test_legendre_check_fails_when_unbracketed(monkeypatch):
     # a direct value of 0 shrinks the grid to a >= -4, while the maximiser
     # at b = 5 sits near a = -b^2/2
-    monkeypatch.setattr(rate, "rate_I", lambda b, cfg, consts: 0.0)
+    monkeypatch.setattr(rate, "rate_I", lambda b, consts: 0.0)
     with pytest.raises(SolverError, match="not bracketed"):
         legendre_check(5.0, consts=C)
 

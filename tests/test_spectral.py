@@ -267,6 +267,17 @@ class TestWTruncation:
         ai = airy_batch(INV_CBRT2 * h[:, None] + exp.zeros)[0]
         assert np.max(np.abs(ai * (exp.gamma * exp.c))) <= 1.0
 
+    def test_tail_bound_covers_the_term_sum(self):
+        # the closed form bounds the sum of the per-term bounds it replaces,
+        # and by at most a small factor
+        for K in (0, 13, 110, 200, 400):
+            for t in (0.01, 0.1, 0.5, 2.0, 8.0):
+                k = np.arange(K, K + 400_000)
+                terms = np.exp(-spectral._decay_rate_bound(k) * t)
+                direct = float(np.sum(terms[::-1]))
+                if direct > 1e-300:
+                    assert direct <= w_tail_bound(K, t) <= 1.3 * direct, (K, t)
+
     def test_matches_full_sum(self):
         exp = w_coefficients(200)
         ai = airy_batch(INV_CBRT2 * self.H[:, None] + exp.zeros)[0]
