@@ -11,6 +11,11 @@ generating function downstream:
     b_2star  : 1 / rho'(a_2star), where the rate function stops being linear,
     rho_2star: rho(a_2star), the linear-segment slope parameter.
 
+a_star, b_star and c_star come from the finite-volume principal_eigen and
+rho_derivative (c_star's rho'' is a difference of rho', and its pin sits
+in that differencing); b_2star and rho_2star come from sturm.eigenvalue,
+the Laguerre-Galerkin solve behind the rate layer.
+
 All six are fixed by the package's code, so the computed values are
 memoized in a small CSV cache keyed by a fingerprint of the package's
 source files.  Writes are atomic (temp file then rename).
@@ -30,7 +35,7 @@ from scipy.optimize import brentq
 
 from .airy import a_2star as _airy_a_2star
 from .errors import NumericError, SolverError
-from .sturm import principal_eigen, rho_derivative
+from .sturm import eigenvalue, principal_eigen, rho_derivative
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,9 @@ def compute_constants(use_cache: bool = True) -> ModelConstants:
     c_star = math.sqrt(r2_star) / r1_star ** 1.5
 
     a_2star = _airy_a_2star()
-    sol_2star = principal_eigen(a_2star)
-    b_2star = 1.0 / sol_2star.rho1
-    rho_2star = sol_2star.rho
+    # from the solve the rate layer uses, so its kink sits on its envelope
+    rho_2star, rho1_2star = eigenvalue(a_2star)
+    b_2star = 1.0 / rho1_2star
 
     # internal consistency: c_star^2 rho'(a*)^3 must reproduce rho''(a*)
     resid = abs(c_star ** 2 * r1_star ** 3 - r2_star)

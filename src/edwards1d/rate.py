@@ -15,6 +15,9 @@ envelope
 and on [0, b_2star] it is the linear segment a_2star - b rho(a_2star).
 Both branches meet at b_2star with matching value and slope.
 
+rho(a) and rho'(a) come from sturm.eigenvalue (Laguerre-Galerkin), and
+b_2star and rho_2star from the same solve through compute_constants.
+
 The two duality checks take their discrete suprema (grid, then golden
 section) over a, one eigensolve per point.  `legendre_check` computes
 sup_mu (b mu - lambda_plus(mu)) as sup_{a <= a_2star} (a - b rho(a)),
@@ -35,33 +38,34 @@ from scipy.optimize import brentq
 
 from .constants import ModelConstants, compute_constants
 from .errors import DomainError, SolverError
-from .sturm import principal_eigen
+from .sturm import eigenvalue
 
 
 def _rho(a: float) -> float:
-    return principal_eigen(a).rho
+    return eigenvalue(a)[0]
 
 
 def _resolve(consts: ModelConstants | None) -> ModelConstants:
     return compute_constants() if consts is None else consts
 
 
-def _solve_a(field: str, target: float, lo: float, consts: ModelConstants) -> float:
-    """Solve principal_eigen(a).<field> = target on [lo, a_2star].
+def _solve_a(k: int, target: float, lo: float, consts: ModelConstants) -> float:
+    """Solve eigenvalue(a)[k] = target on [lo, a_2star]: rho for k = 0, rho' for 1.
 
     Both rho and rho' increase in a, and every caller's target lies below
-    the field's value at a_2star; SolverError when it also lies below the
-    value at lo.
+    the value at a_2star; SolverError when it also lies below the value
+    at lo.
     """
-    f = lambda a: getattr(principal_eigen(a), field) - target
+    f = lambda a: eigenvalue(a)[k] - target
     if f(lo) > 0.0:
-        raise SolverError(f"could not bracket {field} = {target:g} above a = {lo:g}")
+        raise SolverError(f"could not bracket {('rho', 'rho1')[k]} = {target:g} "
+                          f"above a = {lo:g}")
     return brentq(f, lo, consts.a_2star, xtol=1e-11, rtol=8.9e-16)
 
 
 def _a_of_b(b: float, consts: ModelConstants) -> float:
     """Solve rho'(a) = 1/b for b > b_2star."""
-    return _solve_a("rho1", 1.0 / b, min(-1.0, -(b * b) / 2.0 * 1.5 - 4.0), consts)
+    return _solve_a(1, 1.0 / b, min(-1.0, -(b * b) / 2.0 * 1.5 - 4.0), consts)
 
 
 def lambda_plus(mu: float, consts: ModelConstants | None = None) -> float:
@@ -73,7 +77,7 @@ def lambda_plus(mu: float, consts: ModelConstants | None = None) -> float:
     if mu <= -consts.rho_2star:
         return -consts.a_2star
     # deep-negative asymptote rho ~ -sqrt(2)(-a)^{1/2} guides the lower end
-    return -_solve_a("rho", -mu, min(-1.0, -(mu * mu) / 2.0 - 2.0), consts)
+    return -_solve_a(0, -mu, min(-1.0, -(mu * mu) / 2.0 - 2.0), consts)
 
 
 def lambda_full(mu: float, consts: ModelConstants | None = None) -> float:
@@ -192,8 +196,8 @@ def lambda_from_rate(mu: float, consts: ModelConstants | None = None,
         raise DomainError(f"lambda_from_rate with b_hi = {b_hi:g} requires "
                           f"mu <= {mu_max:.9g}, got {mu!r}")
     def g(a):
-        sol = principal_eigen(a)
-        return (mu + sol.rho) / sol.rho1 - a
+        rho, rho1 = eigenvalue(a)
+        return (mu + rho) / rho1 - a
     grid = np.linspace(a_lo, a_2s, _N_GRID)
     vals = np.array([g(a) for a in grid])
     i = int(np.argmax(vals))

@@ -7,6 +7,7 @@ bands on slow-horizon quantities (endpoint location, fit exponent) are
 seed-pinned regressions, not claims about the T -> infinity limits.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -213,6 +214,25 @@ class TestSequential:
         cfg = PolymerConfig(T=1.0, beta=1.0, dt=0.004, bin=0.1,
                             n_paths=2 * CHUNK, seed=5)
         with pytest.raises(NumericError):
+            sample_polymer_sequential(cfg)
+
+    def test_one_step_degeneracy_raises(self, monkeypatch):
+        # every particle but the first stays in bin 0, the first takes a
+        # fresh bin each step: at step 2 the others pay e^{-2 beta dt^2 / bin}
+        # = e^{-20} against it, so the ESS falls from 4096 to about 1 in
+        # one step
+        cfg = PolymerConfig(T=2.0, beta=10.0, dt=1.0, bin=1.0,
+                            n_paths=2 * CHUNK, seed=5)
+        assert sample_polymer_sequential(cfg).ess > 0.5 * CHUNK
+        fresh = itertools.count(1)
+
+        def bins(pos, width):
+            b = np.zeros(pos.shape, dtype=np.int64)
+            b[0] = next(fresh)
+            return b
+
+        monkeypatch.setattr(edwardsmc, "_bin_index", bins)
+        with pytest.raises(DegeneracyError, match="after one step"):
             sample_polymer_sequential(cfg)
 
 

@@ -7,7 +7,10 @@ Oracles used here:
   * frozen regression pins computed by this solver at high resolution
     and cross-validated through the critical-constant chain in
     test_constants.py,
-  * structural invariants (positivity, normalization, tail decay law).
+  * structural invariants (positivity, normalization, tail decay law),
+  * the Laguerre-Galerkin solve `eigenvalue` and the finite-volume
+    `principal_eigen` as oracles for each other, plus the min-max
+    properties of the Ritz values.
 """
 
 import math
@@ -17,10 +20,12 @@ import pytest
 import scipy.linalg as sla
 
 import edwards1d.sturm as sturm
-from edwards1d.errors import DomainError
+from edwards1d.airy import a_2star
+from edwards1d.errors import DomainError, SolverError
 from edwards1d.sturm import (
     EigenSolution,
     SolverConfig,
+    eigenvalue,
     principal_eigen,
     eigen_residual,
     rho_derivative,
@@ -229,3 +234,74 @@ def test_solution_fields():
     assert sol.h.shape == sol.x.shape == sol.weights.shape
     assert sol.h[0] == 0.0
     assert sol.h[-1] == sol.h_max
+
+
+def test_galerkin_matrices_match_their_definitions():
+    # sturm builds D X D^T and X^2 in closed form; here they are the
+    # products they stand for, with X from N + 1 terms and
+    # D = -I/2 - strict lower ones (every entry exact in binary)
+    n = sturm._N_CHECK
+    k = np.arange(n + 1.0)
+    x_ext = np.diag(2 * k + 1) - np.diag(k[:-1] + 1, 1) - np.diag(k[:-1] + 1, -1)
+    d = -0.5 * np.eye(n) - np.tril(np.ones((n, n)), -1)
+    assert np.array_equal(sturm._X, x_ext[:n, :n])
+    assert np.array_equal(sturm._DXD, d @ x_ext[:n, :n] @ d.T)
+    assert np.array_equal(sturm._X2, (x_ext @ x_ext)[:n, :n])
+
+
+def test_galerkin_matches_finite_volumes():
+    # the two solvers share no code; largest measured gaps over this grid
+    # are 1.65e-8 in rho and 8.3e-11 in rho'
+    for a in np.linspace(-100.0, a_2star(), 120):
+        rho, rho1 = eigenvalue(a)
+        sol = principal_eigen(a)
+        assert abs(rho - sol.rho) < 3e-8, a
+        assert abs(rho1 - sol.rho1) < 2e-10, a
+
+
+def test_galerkin_truncation_converged():
+    # from a = -1000 (s = 63) to a** (s = 4), N = 48 and N + 16 agree to
+    # rounding (measured 4e-13 in rho, 1e-17 in rho')
+    for a in (-1000.0, -72.0, 0.0, a_2star()):
+        rho, rho1 = sturm._ritz(a, sturm._N)
+        ref, ref1 = sturm._ritz(a, sturm._N_CHECK)
+        assert abs(rho - ref) < 1e-12, a
+        assert abs(rho1 - ref1) < 1e-12, a
+
+
+def test_ritz_values_rise_with_n():
+    # min-max: each added basis function can only raise the top Ritz value;
+    # the slack is the eigensolver's backward error, n eps |A|
+    for a in (-1000.0, -72.0, -5.0, 0.0, a_2star()):
+        A, _ = sturm._form(a, sturm._N_CHECK)
+        slack = sturm._N_CHECK * np.finfo(float).eps * np.linalg.norm(A, 2)
+        vals = [sturm._ritz(a, n)[0] for n in range(1, sturm._N_CHECK + 1)]
+        assert np.all(np.diff(vals) >= -slack), a
+
+
+def test_galerkin_above_rayleigh_bound():
+    # rho - bound decays like (-a)^{-5/2} (test_rayleigh_gap_scaling); at
+    # a = -1e4 it is 1.6e-10, past that it falls below the solve's rounding
+    for a in (-1e4, -1000.0, -100.0, -72.0, -20.0, -5.0, -1.0, -0.1):
+        assert eigenvalue(a)[0] >= rayleigh_lower_bound(a), a
+
+
+def test_eigenvalue_rejects_non_finite_a():
+    for a in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError):
+            eigenvalue(a)
+
+
+def test_eigenvalue_gate_raises_on_truncation_gap(monkeypatch):
+    real = sturm._ritz
+    for shift in ((1e-6, 0.0), (0.0, 1e-6)):
+        monkeypatch.setattr(
+            sturm, "_ritz",
+            lambda a, n, d=shift: real(a, n) if n == sturm._N
+            else (real(a, n)[0] + d[0], real(a, n)[1] + d[1]))
+        with pytest.raises(SolverError, match="not converged"):
+            eigenvalue(1.0)
+    monkeypatch.undo()
+    # without a patch the gate fires where s = 4 is too wide for x_a
+    with pytest.raises(SolverError, match="not converged"):
+        eigenvalue(60.0)
