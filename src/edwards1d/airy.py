@@ -37,9 +37,10 @@ asymptotic locations; every zero comes out within 2 ulps of the exact
 value for k < 201.
 
 The eigenbasis is e_k(h) = c_k Ai(2^{-1/3} h + a_k) on [0, inf), where a_k is
-the k-th zero of Ai (a_0 ~ -2.338) and c_k normalizes e_k in L^2.  These are
-the eigenfunctions of x -> 2 x'' - h x with Dirichlet data at 0 and
-eigenvalues 2^{1/3} a_k.
+the k-th zero of Ai (a_0 ~ -2.338) and c_k = 2^{-1/6} / |Ai'(a_k)| normalizes
+e_k in L^2, because int_{a_k}^inf Ai^2 = Ai'(a_k)^2.  These are the
+eigenfunctions of x -> 2 x'' - h x with Dirichlet data at 0 and eigenvalues
+2^{1/3} a_k.  basis_gram checks their orthonormality by quadrature.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import airy as _scipy_airy
 
-from .errors import DomainError, NumericError, RangeError, SolverError
+from .errors import DomainError, RangeError, SolverError
 
 X_MAX = 200.0  # documented evaluation range
 X_SWITCH = 9.0  # scipy / asymptotics crossover radius
@@ -228,7 +229,7 @@ def a_2star() -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_AI_SQ_CUT = 9.5  # Ai(9.5)^2 ~ 2.8e-19: below the 1e-18 truncation threshold
+_AI_SQ_CUT = 9.5  # Ai(9.5)^2 ~ 2.8e-19: basis_gram's integrand is cut there
 
 
 def _gl_panels(edges: np.ndarray):
@@ -242,66 +243,17 @@ def _gl_panels(edges: np.ndarray):
     return nodes, weights
 
 
-def _ai_sq_integrals(zeros: np.ndarray, panels_per_interval: int) -> np.ndarray:
-    """I_k = integral of Ai^2 over [a_k, _AI_SQ_CUT] for every listed zero.
-
-    Split as sum of per-interval integrals [a_k, a_{k-1}] (each exactly one
-    phase half-period pi, integrated in the phase variable psi = (2/3)(-u)^{3/2})
-    plus the base integral over [a_0, _AI_SQ_CUT].
-    """
-    k_max = zeros.size
-    base_edges = np.concatenate([
-        np.linspace(zeros[0], 0.0, 5),
-        np.linspace(0.0, _AI_SQ_CUT, 2 * panels_per_interval + 1)[1:],
-    ])
-    nodes, weights = _gl_panels(base_edges)
-    ai, _, _, _ = airy_batch(nodes)
-    base = float(np.sum(weights * ai * ai))
-    if k_max == 1:
-        return np.array([base])
-
-    psi = (2.0 / 3.0) * (-zeros) ** 1.5  # increasing in k
-    # panel edges uniform in psi inside every interval [psi_{k-1}, psi_k]
-    frac = np.linspace(0.0, 1.0, panels_per_interval + 1)
-    psi_edges = psi[:-1, None] + (psi[1:] - psi[:-1])[:, None] * frac[None, :]
-    all_nodes = []
-    all_weights = []
-    for i in range(k_max - 1):
-        pn, pw = _gl_panels(psi_edges[i])
-        all_nodes.append(pn)
-        all_weights.append(pw)
-    pn = np.concatenate(all_nodes)
-    pw = np.concatenate(all_weights)
-    u = -((1.5 * pn) ** (2.0 / 3.0))
-    dudpsi = (1.5 * pn) ** (-1.0 / 3.0)
-    ai, _, _, _ = airy_batch(u)
-    contrib = (pw * ai * ai * dudpsi).reshape(k_max - 1, -1).sum(axis=1)
-    integrals = np.empty(k_max)
-    integrals[0] = base
-    integrals[1:] = base + np.cumsum(contrib)
-    return integrals
-
-
 def eigenbasis(K: int) -> list[EigenBasisElement]:
     """Orthonormal elements e_k(h) = c_k Ai(2^{-1/3} h + a_k), k = 0..K-1.
 
-    c_k comes from adaptive quadrature of Ai^2 (phase-graded Gauss-Legendre,
-    refined until successive passes agree to 1e-9 relative, integrand
-    truncated below 1e-18).
+    c_k = 2^{-1/6} / |Ai'(a_k)| in closed form: d/dz [z Ai^2 - Ai'^2] = Ai^2
+    gives int_{a_k}^inf Ai^2 = Ai'(a_k)^2 (DLMF 9.11(iv)), and the h-integral
+    of Ai(2^{-1/3} h + a_k)^2 is 2^{1/3} times that.
     """
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
     table = airy_zeros(K)
-    coarse = _ai_sq_integrals(table.zeros, panels_per_interval=4)
-    fine = _ai_sq_integrals(table.zeros, panels_per_interval=8)
-    rel = np.max(np.abs(fine - coarse) / fine)
-    if rel > 1e-9:
-        coarse, fine = fine, _ai_sq_integrals(table.zeros, panels_per_interval=16)
-        rel = np.max(np.abs(fine - coarse) / fine)
-        if rel > 1e-9:
-            raise NumericError(
-                f"eigenbasis quadrature did not converge: achieved {rel:.3e} relative")
-    c = (CBRT2 * fine) ** -0.5
+    c = 2.0 ** (-1.0 / 6.0) / np.abs(table.aip_at_zeros)
     return [
         EigenBasisElement(k=k, zero=float(table.zeros[k]),
                           eigenvalue=float(CBRT2 * table.zeros[k]), c=float(c[k]))
@@ -319,7 +271,7 @@ def basis_eval(element: EigenBasisElement, h: np.ndarray) -> np.ndarray:
 def basis_gram(elements: list[EigenBasisElement]) -> np.ndarray:
     """Gram matrix of the basis by shared phase-graded quadrature over h.
 
-    Exposed so the orthonormality of the quadrature pipeline can be verified;
+    Exposed so the closed-form c_k can be checked independently;
     analytically the matrix is the identity.
     """
     a_last = elements[-1].zero

@@ -23,7 +23,7 @@ class SolverError(EdwardsError, RuntimeError):
 
 
 class NumericError(EdwardsError, RuntimeError):
-    """Numerical scheme failed (non-finite state, quadrature non-convergence)."""
+    """Numerical scheme failed (non-finite state, failed identity or root check)."""
 
 
 class AccuracyError(NumericError):

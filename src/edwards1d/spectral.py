@@ -31,7 +31,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import gammaincc
 
-from .airy import CBRT2, INV_CBRT2, a_2star, airy_batch, eigenbasis
+from .airy import (CBRT2, INV_CBRT2, _asym_neg, _zero_guess, a_2star, airy_batch,
+                   eigenbasis)
 from .errors import AccuracyError, DomainError
 
 # Green kernel normalization: G(u,v) = GREEN_K * y1(min) * y2(max) where
@@ -78,8 +79,8 @@ class WExpansion:
 def w_coefficients(K: int) -> WExpansion:
     """Expansion coefficients gamma_k of the time-domain kernel.
 
-    gamma_k = 2^{1/3} / (c_k Ai'(a_k)); with the normalization quadrature
-    this evaluates to sqrt(2) (-1)^k, which tests pin independently.
+    gamma_k = 2^{1/3} / (c_k Ai'(a_k)); with the closed-form normalization
+    c_k = 2^{-1/6} / |Ai'(a_k)| this is sqrt(2) (-1)^k up to rounding.
     """
     zeros, lams, cs, _, gam = _basis_arrays(K)
     return WExpansion(K=K, zeros=zeros, eigenvalues=lams, gamma=gam, c=cs)
@@ -246,10 +247,10 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
         block = 20000
         while True:
             ks = np.arange(k, k + block, dtype=float)
-            zk = _airy_zero_guess(ks)
-            lk = -CBRT2 * zk
-            ai_t = _asym_neg_ai(zk - INV_CBRT2 * hv)
-            aip_t = _asym_neg_aip(zk)
+            zk = _zero_guess(ks)
+            lk = CBRT2 * zk
+            ai_t = _asym_neg(zk + INV_CBRT2 * hv)[0]
+            aip_t = _asym_neg(zk)[1]
             dmp = np.exp((a + lk) * ev)
             total += np.sum(CBRT2 * ai_t / aip_t / (-(a + lk)) * dmp)
             if dmp[-1] < 1e-16:
@@ -260,24 +261,6 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
                     f"Abel tail did not converge at eps={ev:g}", bound=float(dmp[-1]))
         out[i] = total
     return out if np.ndim(h) else float(out[0])
-
-
-def _airy_zero_guess(k: np.ndarray) -> np.ndarray:
-    """Magnitude of the k-th Ai zero from its asymptotic series (0-indexed)."""
-    from .airy import _zero_guess
-    return -_zero_guess(k)
-
-
-def _asym_neg_ai(z: np.ndarray) -> np.ndarray:
-    """Ai(-z) for large positive z via the uncapped asymptotic form."""
-    from .airy import _asym_neg
-    return _asym_neg(-z)[0]
-
-
-def _asym_neg_aip(z: np.ndarray) -> np.ndarray:
-    """Ai'(-z) for large positive z via the uncapped asymptotic form."""
-    from .airy import _asym_neg
-    return _asym_neg(-z)[1]
 
 
 def _green_pair(u: np.ndarray):

@@ -46,8 +46,8 @@ Boyd, Chebyshev and Fourier Spectral Methods (2001), ch. 17.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -102,14 +102,8 @@ class EigenSolution:
     h_max: float
 
 
-_cache_lock = threading.Lock()
-_cache: dict = {}
-_CACHE_MAX = 512
-
-
 def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+    _principal_eigen.cache_clear()
 
 
 def _grid(h_max: float, n: int) -> np.ndarray:
@@ -196,18 +190,19 @@ def _resolve_h_max(a: float, cfg: SolverConfig) -> float:
 
 
 def principal_eigen(a: float, cfg: SolverConfig | None = None) -> EigenSolution:
-    """Top eigenpair of K_a with Richardson-extrapolated rho and rho'."""
+    """Top eigenpair of K_a with Richardson-extrapolated rho and rho'.
+
+    The 512 most recently used (a, cfg) pairs are cached; a hit returns the
+    same object.
+    """
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"a must be finite, got {a!r}")
-    if cfg is None:
-        cfg = SolverConfig()
-    key = (a, cfg.n, cfg.h_max, cfg.tol, cfg.refine_levels)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    return _principal_eigen(a, SolverConfig() if cfg is None else cfg)
 
+
+@lru_cache(maxsize=512)
+def _principal_eigen(a: float, cfg: SolverConfig) -> EigenSolution:
     h_max = _resolve_h_max(a, cfg)
     ns = [cfg.n * (2**lvl) for lvl in range(cfg.refine_levels + 1)]
     rhos, rho1s = [], []
@@ -237,13 +232,8 @@ def principal_eigen(a: float, cfg: SolverConfig | None = None) -> EigenSolution:
                 f"refinement diverging at a={a:g}: iterates {rhos[-2]!r}, {rhos[-1]!r}")
 
     h, x, w, n_fin = finest
-    sol = EigenSolution(a=a, rho=rho, rho1=rho1, h=h, x=x, weights=w,
-                        n=n_fin, h_max=h_max)
-    with _cache_lock:
-        if len(_cache) >= _CACHE_MAX:
-            _cache.pop(next(iter(_cache)))
-        _cache.setdefault(key, sol)
-    return sol
+    return EigenSolution(a=a, rho=rho, rho1=rho1, h=h, x=x, weights=w,
+                         n=n_fin, h_max=h_max)
 
 
 def eigen_residual(sol: EigenSolution) -> float:

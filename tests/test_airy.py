@@ -278,13 +278,29 @@ def test_asymptotic_prefactor_sqrt_pi():
 
 
 def test_eigenbasis_normalization_closed_form():
-    # Oracle: d/dz [Ai'(z)^2 - z Ai(z)^2] = -Ai(z)^2, so
-    # int_{a_k}^inf Ai^2 = Ai'(a_k)^2 and c_k = 2^{-1/6} / |Ai'(a_k)|.
-    els = eigenbasis(120)
-    tab = airy_zeros(120)
-    closed = 2.0 ** (-1.0 / 6.0) / np.abs(tab.aip_at_zeros)
-    got = np.array([e.c for e in els])
-    assert np.max(np.abs(got - closed) / closed) <= 1e-9
+    # Oracle: scipy's quad of Ai^2 from a_k to inf, split at the zeros of
+    # scipy's own table (its Ai is Cephes/AMOS, not this module's series).
+    # The e_k normalization is int_0^inf Ai(2^{-1/3} h + a_k)^2 dh = 1,
+    # i.e. c_k = (2^{1/3} int_{a_k}^inf Ai^2)^{-1/2}.
+    from scipy.integrate import quad
+    from scipy.special import ai_zeros
+    from scipy.special import airy as sp_airy
+
+    ks = (0, 1, 10, 50, 119)
+    els = eigenbasis(max(ks) + 1)
+    ref_zeros = ai_zeros(max(ks) + 1)[0]
+
+    def ai_sq(x):
+        return sp_airy(x)[0] ** 2
+
+    tail = quad(ai_sq, ref_zeros[0], 5.0, epsabs=0.0, epsrel=1e-13)[0]
+    tail += quad(ai_sq, 5.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+    halves = [quad(ai_sq, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+              for lo, hi in zip(ref_zeros[1:], ref_zeros[:-1])]
+    integrals = tail + np.concatenate([[0.0], np.cumsum(halves)])
+    for k in ks:
+        oracle = (CBRT2 * integrals[k]) ** -0.5
+        assert abs(els[k].c - oracle) / oracle <= 1e-9, k
 
 
 def test_eigenbasis_fields_and_growth():

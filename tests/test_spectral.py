@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from edwards1d import spectral
+from edwards1d import airy, spectral
 from edwards1d.airy import airy_batch, airy_zeros, eigenbasis
 from edwards1d.errors import AccuracyError, DomainError
 from edwards1d.spectral import (
@@ -73,7 +73,7 @@ class TestGammaOracle:
                 assert resid == pytest.approx(product, rel=2e-6), (k, h)
 
     def test_gamma_closed_form_values(self):
-        # the quadrature-normalized basis makes gamma_k = sqrt(2) (-1)^k
+        # gamma_k = 2^{1/3} / (c_k Ai'(a_k)) = sqrt(2) (-1)^k for the L^2-normalized basis
         gam = w_coefficients(60).gamma
         signs = (-1.0) ** np.arange(60)
         assert np.max(np.abs(gam - SQRT2 * signs)) < 1e-11
@@ -178,7 +178,7 @@ def _abel_tail_error_bound(h: float, a: float, K: int = 200) -> float:
     eps = h * h / 88.0
     total, k = 0.0, K
     while True:
-        z = spectral._airy_zero_guess(np.arange(k, k + 20000, dtype=float))
+        z = -airy._zero_guess(np.arange(k, k + 20000, dtype=float))
         lam = -CBRT2 * z
         zeta = (2.0 / 3.0) * z ** 1.5
         damp = np.exp((a + lam) * eps)
