@@ -1,4 +1,4 @@
-"""Bit-for-bit comparison of the Monte Carlo outputs of two checkouts.
+"""Bit-for-bit comparison of the Monte Carlo and rate-layer outputs of two checkouts.
 
     python3 bench/mc_identity.py --before DIR --after DIR
 
@@ -9,8 +9,11 @@ the two sets of results are compared exactly: arrays by ``array_equal``
 (NaN equal to NaN), dataclasses field by field, CLI runs by their stdout
 and exit status.  Prints one line per case and exits 1 if any case
 differs.  The cases are the pinned configurations of the Monte Carlo
-tests plus the CLI defaults and the benchmark's Ray-Knight op; each side
-takes about 4.5 minutes on one core of a 2-vCPU Xeon virtual machine.
+tests, the Monte Carlo CLI defaults and the benchmark's Ray-Knight op, plus
+the rate layer: ``constants``, ``rate-curve`` and ``mgf-curve`` at their
+defaults and ``legendre_check`` at the benchmark's b = 1.25, 1.5 and 2.0.
+Each side computes its constants cold, into a cache file of its own.  Each
+side takes about 4.5 minutes on one core of a 2-vCPU Xeon virtual machine.
 """
 
 import argparse
@@ -48,6 +51,7 @@ def cases():
                                      sample_polymer, sample_polymer_sequential,
                                      tilted_mgf)
     from edwards1d.errors import HorizonError
+    from edwards1d.rate import legendre_check
 
     sim = SimConfig
 
@@ -140,6 +144,12 @@ def cases():
         "cli_rayknight": lambda: run_cli("rayknight"),
         "cli_rayknight_bench": lambda: run_cli(
             "rayknight", "--T", "2", "--quintuples", "8", "--n", "8000"),
+        "cli_constants": lambda: run_cli("constants"),
+        "cli_rate_curve": lambda: run_cli("rate-curve"),
+        "cli_mgf_curve": lambda: run_cli("mgf-curve"),
+        "legendre_1.25": lambda: legendre_check(1.25),
+        "legendre_1.5": lambda: legendre_check(1.5),
+        "legendre_2.0": lambda: legendre_check(2.0),
     }
     return c
 
@@ -169,6 +179,7 @@ def same(a, b):
 
 def compute(root, out_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+               EDWARDS1D_CONSTANTS_CACHE=out_path + ".constants.csv",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", out_path],
                    env=env, check=True)

@@ -155,8 +155,10 @@ def legendre_check(b: float, consts: ModelConstants | None = None) -> LegendreRe
     direct = rate_I(b, consts=consts)
     kink = -consts.rho_2star
     # the argmax lies at mu = -rho(a_b) >= kink; cover mu <= mu_hi with margin,
-    # as rho(a) < -sqrt(-2a) puts a = -mu_hi^2/2 - 2 at mu > mu_hi
-    mu_hi = max(2.0, 1.5 * (direct / max(b, 0.25)) + 2.0)
+    # as rho(a) < -sqrt(-2a) puts a = -mu_hi^2/2 - 2 at mu > mu_hi.  The
+    # first term grows like 0.75 b, the argmax like b (it is below b on
+    # (b_2star, 12]), so b + 0.5 takes over from b = 6.33 on
+    mu_hi = max(2.0, 1.5 * (direct / max(b, 0.25)) + 2.0, b + 0.5)
     f = lambda a: a - b * _rho(a)
     grid = np.linspace(-(mu_hi * mu_hi) / 2.0 - 2.0, consts.a_2star, _N_GRID)
     vals = np.array([f(a) for a in grid])

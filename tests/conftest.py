@@ -29,3 +29,25 @@ def pytest_unconfigure(config):
     else:
         os.environ[_ENV] = previous
     shutil.rmtree(tmp, ignore_errors=True)
+
+
+@pytest.fixture
+def lapack_solves(monkeypatch):
+    """Orders n of the dsyevr solves behind sturm.eigenvalue, caches emptied.
+
+    The count sits at the LAPACK call itself, below eigenvalue's cache, so
+    a cache hit adds nothing and a fresh Ritz pair adds one entry.
+    """
+    from edwards1d import sturm
+
+    sturm.clear_cache()
+    solves = []
+    real = sturm._syevr
+
+    def counted(n):
+        drv, lwork, liwork = real(n)
+        return (lambda *args, **kw: solves.append(n) or drv(*args, **kw)), lwork, liwork
+
+    monkeypatch.setattr(sturm, "_syevr", counted)
+    yield solves
+    sturm.clear_cache()

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from edwards1d import rate
+from edwards1d import rate, sturm
 from edwards1d.constants import compute_constants
 from edwards1d.errors import DomainError, SolverError
 from edwards1d.rate import (
@@ -113,7 +113,8 @@ def test_rate_convex_with_interior_minimum():
 
 
 def test_legendre_gap():
-    for b in (0.2, 1.5):
+    # from b = 6.33 on the grid's mu_hi is b + 0.5
+    for b in (0.2, 1.5, 9.0, 10.0, 12.0):
         rep = legendre_check(b, consts=C)
         assert rep.gap < 1e-5
         assert abs(rep.direct - rate_I(b, consts=C)) < 1e-12
@@ -159,11 +160,33 @@ def test_involution_fails_past_b_hi():
 
 
 def test_legendre_check_fails_when_unbracketed(monkeypatch):
-    # a direct value of 0 shrinks the grid to a >= -4, while the maximiser
-    # at b = 5 sits near a = -b^2/2
-    monkeypatch.setattr(rate, "rate_I", lambda b, consts: 0.0)
+    # with rho(a) = a, a - b rho(a) falls in a for b > 1, so its grid
+    # maximum is the left end
+    monkeypatch.setattr(rate, "_rho", lambda a: a)
     with pytest.raises(SolverError, match="not bracketed"):
         legendre_check(5.0, consts=C)
+
+
+def test_rate_derivative_reuses_the_rate_row_solves(lapack_solves):
+    # a rate-curve row: rate_derivative repeats rate_I's brentq iterates,
+    # all of them cache hits
+    rate_I_scaled(3.0, 1.0, consts=C)
+    assert lapack_solves
+    lapack_solves.clear()
+    rate_derivative(3.0, consts=C)
+    assert lapack_solves == []
+
+
+def test_lambda_plus_solves_each_iterate_once(monkeypatch, lapack_solves):
+    # the bracket check and brentq both evaluate the lower end; each
+    # distinct a costs one Ritz pair at N and one at N + 16
+    iterates = []
+    real = rate.eigenvalue
+    monkeypatch.setattr(rate, "eigenvalue", lambda a: iterates.append(a) or real(a))
+    lambda_plus(2.0, consts=C)
+    assert len(set(iterates)) < len(iterates)
+    assert len(lapack_solves) == 2 * len(set(iterates))
+    assert lapack_solves.count(sturm._N) == lapack_solves.count(sturm._N_CHECK)
 
 
 def test_scaling_relations():

@@ -305,3 +305,52 @@ def test_eigenvalue_gate_raises_on_truncation_gap(monkeypatch):
     # without a patch the gate fires where s = 4 is too wide for x_a
     with pytest.raises(SolverError, match="not converged"):
         eigenvalue(60.0)
+
+
+def test_ritz_matches_eigh_route():
+    # _ritz calls dsyevr with the arguments eigh(A, subset_by_index=[n-1,
+    # n-1]) passes it; the two must agree to the bit, whatever scipy and
+    # LAPACK are installed
+    for a in map(float, np.linspace(-1000.0, 2.2, 37)):
+        for n in range(1, sturm._N_CHECK + 1):
+            A, s = sturm._form(a, n)
+            w, v = sla.eigh(A, subset_by_index=[n - 1, n - 1])
+            v = v[:, 0]
+            ref = (float(w[0]), float(v @ sturm._X[:n, :n] @ v) / s)
+            assert sturm._ritz.__wrapped__(a, n) == ref, (a, n)
+
+
+def test_eigenvalue_cache_hit_equals_cold_solve(lapack_solves):
+    for a in (-250.0, -3.7, 0.0, 1.9):
+        first = eigenvalue(a)
+        assert len(lapack_solves) == 2
+        hit = eigenvalue(a)
+        assert len(lapack_solves) == 2  # both truncations came from the cache
+        clear_cache()
+        assert eigenvalue(a) == hit == first, a
+        assert len(lapack_solves) == 4
+        clear_cache()
+        lapack_solves.clear()
+
+
+def test_clear_cache_empties_both_caches():
+    eigenvalue(0.7)
+    principal_eigen(0.7)
+    assert sturm._ritz.cache_info().currsize >= 2
+    assert sturm._principal_eigen.cache_info().currsize >= 1
+    clear_cache()
+    assert sturm._ritz.cache_info().currsize == 0
+    assert sturm._principal_eigen.cache_info().currsize == 0
+
+
+def test_eigenvalue_gate_runs_on_cache_hits(monkeypatch):
+    # both Ritz pairs of a = 1.0 are cached before the patch, so the gate
+    # compares cached values; it must still reject the shifted N + 16 pair
+    eigenvalue(1.0)
+    real = sturm._ritz
+    monkeypatch.setattr(
+        sturm, "_ritz",
+        lambda a, n: real(a, n) if n == sturm._N
+        else (real(a, n)[0] + 1e-6, real(a, n)[1]))
+    with pytest.raises(SolverError, match="not converged"):
+        eigenvalue(1.0)
