@@ -8,20 +8,27 @@ case of cases() in a fresh interpreter with its own ``src`` on the path, and
 the two sets of results are compared exactly: arrays by ``array_equal``
 (NaN equal to NaN), dataclasses field by field, CLI runs by their stdout
 and exit status.  Prints one line per case and exits 1 if any case
-differs.  The cases are the pinned configurations of the Monte Carlo
-tests, the Monte Carlo CLI defaults and the benchmark's Ray-Knight op, plus
-the rate layer: ``constants``, ``rate-curve`` and ``mgf-curve`` at their
-defaults and ``legendre_check`` at the benchmark's b = 1.25, 1.5 and 2.0.
-Each side computes its constants cold, into a cache file of its own.  Each
-side takes about 4.5 minutes on one core of a 2-vCPU Xeon virtual machine.
+differs.  A case that differs is printed with the largest relative
+difference, |x - y| / max(|x|, |y|), over its floats, its arrays and the
+numeric fields of its CLI output, or with "structure" when the two results
+differ in anything but the values of those numbers.  The cases are the
+pinned configurations of the Monte Carlo tests (``scaling_collapse`` and
+``rate_vs_horizon`` among them), the Monte Carlo CLI defaults and the
+benchmark's Ray-Knight op, plus the rate layer: ``constants``, ``rate-curve``
+and ``mgf-curve`` at their defaults and ``legendre_check`` at the
+benchmark's b = 1.25, 1.5 and 2.0.  Each side computes its constants cold,
+into a cache file of its own.  Each side takes about 6 minutes on a 2-vCPU
+Xeon virtual machine.
 """
 
 import argparse
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -47,8 +54,9 @@ def cases():
     from edwards1d.besselsim import (SimConfig, equilibrium_sampler, estimate_w,
                                      estimate_y, simulate_besq, simulate_tilted)
     from edwards1d.edwardsmc import (CHUNK, PolymerConfig, _ensemble, _rng,
-                                     local_time_histogram, rayknight_consistency,
-                                     sample_polymer, sample_polymer_sequential,
+                                     local_time_histogram, rate_vs_horizon,
+                                     rayknight_consistency, sample_polymer,
+                                     sample_polymer_sequential, scaling_collapse,
                                      tilted_mgf)
     from edwards1d.errors import HorizonError
     from edwards1d.rate import legendre_check
@@ -126,6 +134,8 @@ def cases():
         "polymer_T2": lambda: sample_polymer(poly(2.0, 20_000, 0)),
         "polymer_T8": lambda: sample_polymer(poly(8.0, 40_000, 5)),
         "mgf_0.5": lambda: tilted_mgf(0.5, poly(6.0, 60_000, 9)),
+        "collapse_T5": lambda: scaling_collapse((0.5, 1.0, 2.0), poly(5.0, 40_000, 17)),
+        "rate_vs_horizon": lambda: rate_vs_horizon(poly(4.0, 40_000, 5), (4.0, 6.0, 8.0)),
         "sequential_T4": lambda: sample_polymer_sequential(poly(4.0, 2 * CHUNK, 5)),
         "local_time": lambda: [local_time_histogram(lt_cfg, i) for i in range(4)],
         "local_time_chunk2": lambda: [local_time_histogram(lt_big, i)
@@ -177,6 +187,56 @@ def same(a, b):
     return type(a) is type(b) and a == b
 
 
+def _rel(x, y):
+    if x == y or (x != x and y != y):
+        return 0.0
+    d = abs(x - y) / max(abs(x), abs(y))
+    return d if d == d else math.inf  # a NaN against a number, or inf - inf
+
+
+def max_rel(a, b):
+    """Largest relative difference between the numbers of a and b.
+
+    None when a and b differ in anything but the values of their floats,
+    arrays and the numeric fields of strings (CLI output).
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        return max_rel(list(a.values()), list(b.values()))
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        worst = 0.0
+        for x, y in zip(a, b):
+            d = max_rel(x, y)
+            if d is None:
+                return None
+            worst = max(worst, d)
+        return worst
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape or a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
+            return 0.0 if np.array_equal(a, b) else None
+        return max_rel([float(x) for x in a.ravel()], [float(y) for y in b.ravel()])
+    if isinstance(a, str) and isinstance(b, str):
+        ta, tb = re.split(r"[\s,=]+", a), re.split(r"[\s,=]+", b)
+        if len(ta) != len(tb):
+            return None
+        pairs = []
+        for x, y in zip(ta, tb):
+            try:
+                pairs.append((float(x), float(y)))
+            except ValueError:
+                if x != y:
+                    return None
+        return max_rel([x for x, _ in pairs], [y for _, y in pairs])
+    if (isinstance(a, (int, float)) and isinstance(b, (int, float))
+            and not isinstance(a, bool) and not isinstance(b, bool)):
+        return _rel(float(a), float(b))
+    return 0.0 if type(a) is type(b) and a == b else None
+
+
 def compute(root, out_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                EDWARDS1D_CONSTANTS_CACHE=out_path + ".constants.csv",
@@ -203,7 +263,12 @@ def main():
     for name in before:
         ok = name in after and same(before[name], after[name])
         bad += not ok
-        print(f"{'same' if ok else 'DIFFERS'}  {name}")
+        if ok:
+            print(f"same     {name}")
+            continue
+        d = max_rel(before[name], after.get(name))
+        print(f"DIFFERS  {name}  " + ("structure" if d is None
+                                      else f"max rel diff {d:.3g}"))
     print(f"{len(before) - bad} of {len(before)} cases bit-identical")
     return 1 if bad else 0
 

@@ -23,7 +23,8 @@ CPU of the process's affinity mask (_map); under ``taskset -c 0`` they
 run in the calling process, with the same results.
 
 The private Monte Carlo core here is shared with edwardsmc: the ordered
-process map _map and the chunk driver _chunks, the Euler step _besq_step
+process map _map and the chunk drivers _chunks and _chunk_runs (several
+runs' chunks, and further jobs, in one map), the Euler step _besq_step
 (drift 0, 2 or the eigenfunction drift, trapezoid A and Q), the
 absorbed-run integrator _absorbed_run with its stage schedule as input,
 and the equilibrium draw _equilibrium_draw.
@@ -182,9 +183,35 @@ def _chunks(n: int, seed: int, fn):
     of arrays with one row per path; the rows are concatenated in chunk
     order.
     """
-    parts = _map(lambda ci, m: fn(_rng(seed, ci), m),
-                 enumerate(_chunk_sizes(n)))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return _chunk_runs([(n, seed, fn)])[0]
+
+
+def _chunk_runs(runs, calls=()):
+    """_chunks(n, seed, fn) for each (n, seed, fn) of runs, in one _map.
+
+    All the runs' chunks are jobs of a single process map, so a caller
+    that needs several independent runs starts one pool, not one per
+    run.  calls, zero-argument callables that each draw from a stream of
+    their own, are further jobs of the same map, issued ahead of the
+    chunks (the longest should come first); their results follow the
+    runs' in the returned list.
+    """
+    jobs = [(i, None, 0) for i in range(len(calls))]
+    jobs += [(r, ci, m) for r, (n, _, _) in enumerate(runs)
+             for ci, m in enumerate(_chunk_sizes(n))]
+
+    def job(r, ci, m):
+        if ci is None:
+            return calls[r]()
+        _, seed, fn = runs[r]
+        return fn(_rng(seed, ci), m)
+
+    parts = _map(job, jobs)
+    joined = [[] for _ in runs]
+    for (r, ci, _), part in zip(jobs[len(calls):], parts[len(calls):]):
+        joined[r].append(part)
+    return ([tuple(np.concatenate(col) for col in zip(*p)) for p in joined]
+            + parts[:len(calls)])
 
 
 def _besq_step(g: np.random.Generator, x: np.ndarray, dt: float, drift=None,

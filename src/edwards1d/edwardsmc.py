@@ -32,8 +32,8 @@ from .besselsim import (
     McEstimate,
     _absorbed_run,
     _besq_step,
+    _chunk_runs,
     _chunk_sizes,
-    _chunks,
     _equilibrium_draw,
     _map,
     _rng,
@@ -113,43 +113,77 @@ class PolymerEstimate:
 
 
 def _positions(g: np.random.Generator, m: int, cfg: PolymerConfig,
-               drift: float = 0.0) -> np.ndarray:
+               drift: float = 0.0, out=None) -> np.ndarray:
     """Positions of m paths with drift after each of cfg's time steps.
 
-    Row i is path i; the first k rows are the same at any m >= k.
+    Row i is path i; the first k rows are the same at any m >= k.  Given
+    out, a C-contiguous m x T/dt float array, the positions are written
+    there.
     """
-    pos = g.standard_normal((m, cfg.n_steps)) * math.sqrt(cfg.dt)
+    pos = g.standard_normal((m, cfg.n_steps), out=out)
+    pos *= math.sqrt(cfg.dt)
     if drift:
         pos += drift * cfg.dt
     return np.cumsum(pos, axis=1, out=pos)
 
 
-def _bin_index(pos, width: float):
-    """Index k of the spatial bin [k width, (k + 1) width) holding pos."""
-    idx = pos / width
-    return np.floor(idx, out=idx).astype(np.int64)
+def _bin_index(pos, width: float, out=None):
+    """Index k of the spatial bin [k width, (k + 1) width) holding pos.
+
+    The indices go to out, an int64 array of pos's shape, when given.
+    """
+    if out is None:
+        out = np.empty(np.shape(pos), dtype=np.int64)
+    return np.floor(pos / width, out=out, casting="unsafe")
+
+
+ROWS = 256  # paths drawn and binned per block of a polymer chunk
 
 
 def _chunk_paths(g: np.random.Generator, m: int, cfg: PolymerConfig,
                  drift: float = 0.0):
-    """Simulate one chunk: returns (H values, endpoints)."""
-    pos = _positions(g, m, cfg, drift)
-    idx = _bin_index(pos, cfg.bin)
-    lo = idx.min()
-    width = int(idx.max() - lo + 1)
-    # in place, as in _positions and _bin_index: every chunk x T/dt
-    # temporary costs 33 kB per time step in memory and page faults
-    idx -= lo
-    idx += np.arange(m)[:, None] * width
-    counts = np.bincount(idx.ravel(), minlength=m * width).reshape(m, width)
-    occ = counts * cfg.dt
-    h = np.sum(occ * occ, axis=1) / cfg.bin
-    return h, pos[:, -1].copy()  # a copy, so the chunk's paths are freed
+    """Simulate one chunk of m paths: returns (H values, endpoints).
+
+    The paths are drawn and binned ROWS at a time in buffers allocated
+    once per chunk, so a chunk holds three ROWS x T/dt arrays at its
+    peak (positions, their quotient by bin, bin indices), not m x T/dt
+    as an unblocked chunk would.  The blocks take g's normals in
+    row order, so the paths are those of _positions(g, m, cfg, drift).
+    H is dt^2 / bin times the sum of each path's squared bin counts, a
+    sum of integers.
+    """
+    rows = min(ROWS, m)
+    pos = np.empty((rows, cfg.n_steps))
+    idx = np.empty((rows, cfg.n_steps), dtype=np.int64)
+    sq = np.empty(m, dtype=np.int64)
+    endp = np.empty(m)
+    for r in range(0, m, rows):
+        k = min(rows, m - r)
+        block = _positions(g, k, cfg, drift, out=pos[:k])
+        endp[r:r + k] = block[:, -1]
+        b = _bin_index(block, cfg.bin, out=idx[:k])
+        lo = b.min()
+        width = int(b.max() - lo + 1)
+        # row i's bins to [i width, (i + 1) width): one bincount per block
+        b -= lo - np.arange(k)[:, None] * width
+        counts = np.bincount(b.ravel(), minlength=k * width)
+        sq[r:r + k] = np.sum((counts * counts).reshape(k, width), axis=1)
+    return sq * cfg.dt ** 2 / cfg.bin, endp
+
+
+def _ensembles(cfgs, drift: float = 0.0, calls=()):
+    """(H values, endpoints) of each config's paths; one _map for all chunks.
+
+    calls are run in the same map, as in besselsim._chunk_runs, and their
+    results follow the ensembles'.
+    """
+    return _chunk_runs([(c.n_paths, c.seed,
+                         lambda g, m, c=c: _chunk_paths(g, m, c, drift))
+                        for c in cfgs], calls)
 
 
 def _ensemble(cfg: PolymerConfig, drift: float = 0.0):
-    return _chunks(cfg.n_paths, cfg.seed,
-                   lambda g, m: _chunk_paths(g, m, cfg, drift))
+    return _ensembles([cfg], drift)[0]
 
 
 def local_time_histogram(cfg: PolymerConfig, path_index: int = 0) -> LocalTimeHistogram:
@@ -215,7 +249,12 @@ def sample_polymer(cfg: PolymerConfig) -> PolymerEstimate:
     The effective sample size roughly halves with each unit of T at
     beta = 1; past T of about 10 use sample_polymer_sequential.
     """
-    h, endp = _ensemble(cfg)
+    return _polymer_estimate(cfg, *_ensemble(cfg))
+
+
+def _polymer_estimate(cfg: PolymerConfig, h: np.ndarray,
+                      endp: np.ndarray) -> PolymerEstimate:
+    """sample_polymer's estimates from the ensemble (H values, endpoints)."""
     n = cfg.n_paths
     w = np.exp(-cfg.beta * h)
     mean_w = float(np.mean(w))
@@ -236,6 +275,13 @@ def sample_polymer(cfg: PolymerConfig) -> PolymerEstimate:
         signed_mean=sg_mean, signed_se=sg_se, skew=skew,
         skew_se=math.sqrt(6.0 / ess),
         window_variance=wv, ess=ess, n=n, seed=cfg.seed)
+
+
+def _estimates(cfgs) -> dict:
+    """sample_polymer of each distinct config, all chunks in one _map."""
+    cfgs = list(dict.fromkeys(cfgs))
+    return {c: _polymer_estimate(c, *ens)
+            for c, ens in zip(cfgs, _ensembles(cfgs))}
 
 
 @dataclass(frozen=True)
@@ -438,16 +484,17 @@ def scaling_collapse(betas, cfg: PolymerConfig) -> CollapseReport:
     in the continuum limit.  For beta = 1 the reference is the
     identical run (z = 0 exactly); otherwise it uses an independent
     seed so the z-scores test the law identity rather than shared
-    noise.  Also fits the growth exponent of -logZ/T against beta.
+    noise, and being the direct run it is simulated once.  Also fits the
+    growth exponent of -logZ/T against beta.  The chunks of all the runs
+    go through one process map, so the workers share out the whole
+    collapse rather than one run at a time.
     """
     betas = tuple(float(b) for b in betas)
     if not betas:
         raise DomainError("betas must name at least one coupling")
     if any(not (math.isfinite(b) and b > 0.0) for b in betas):
         raise DomainError("betas must be positive and finite")
-    z_logz = []
-    z_end = []
-    rates = []
+    pairs = []
     for k, b in enumerate(betas):
         direct_cfg = PolymerConfig(T=cfg.T, beta=b, dt=cfg.dt, bin=cfg.bin,
                                    n_paths=cfg.n_paths, seed=cfg.seed)
@@ -456,8 +503,13 @@ def scaling_collapse(betas, cfg: PolymerConfig) -> CollapseReport:
         ref_cfg = PolymerConfig(T=s * cfg.T, beta=1.0, dt=s * cfg.dt,
                                 bin=cfg.bin * b ** (1.0 / 3.0),
                                 n_paths=cfg.n_paths, seed=ref_seed)
-        direct = sample_polymer(direct_cfg)
-        ref = sample_polymer(ref_cfg)
+        pairs.append((direct_cfg, ref_cfg))
+    est = _estimates([c for pair in pairs for c in pair])
+    z_logz = []
+    z_end = []
+    rates = []
+    for b, (direct_cfg, ref_cfg) in zip(betas, pairs):
+        direct, ref = est[direct_cfg], est[ref_cfg]
         dz = (direct.logZ - ref.logZ) / math.hypot(direct.logZ_se, ref.logZ_se)
         # endpoint speeds: |B_T|/T vs beta^{-1/3} |B_T'|/T' * (T'/T) scaling:
         # mean |B| matches after multiplying the reference by beta^{-1/3}
@@ -491,16 +543,17 @@ class HorizonFit:
 
 
 def rate_vs_horizon(cfg: PolymerConfig, horizons) -> HorizonFit:
-    """Fit rate_at_T = a_inf + kappa / T over the given horizons."""
+    """Fit rate_at_T = a_inf + kappa / T over the given horizons.
+
+    Each horizon's rate is sample_polymer's; the chunks of all the
+    horizons go through one process map.
+    """
     horizons = tuple(float(t) for t in horizons)
-    rates = []
-    ses = []
-    for t in horizons:
-        c = PolymerConfig(T=t, beta=cfg.beta, dt=cfg.dt, bin=cfg.bin,
-                          n_paths=cfg.n_paths, seed=cfg.seed)
-        est = sample_polymer(c)
-        rates.append(est.rate_at_T)
-        ses.append(est.rate_se)
+    cfgs = [PolymerConfig(T=t, beta=cfg.beta, dt=cfg.dt, bin=cfg.bin,
+                          n_paths=cfg.n_paths, seed=cfg.seed) for t in horizons]
+    est = _estimates(cfgs)
+    rates = [est[c].rate_at_T for c in cfgs]
+    ses = [est[c].rate_se for c in cfgs]
     inv = 1.0 / np.array(horizons)
     coef = np.polyfit(inv, np.array(rates), 1)
     return HorizonFit(horizons=horizons, rates=tuple(rates), ses=tuple(ses),
@@ -670,6 +723,10 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
        areas as the kernel arguments, the middle piece under the
        eigenfunction-weighted law).
 
+    The direct ensemble's chunks, the composite runs and the simulated
+    right-hand side of the bookkeeping identity each draw from their own
+    stream and run as jobs of one process map.
+
     Raises DomainError for an empty or unknown check list or a swap check
     with fewer than 3 quintuples, and ConditioningError when fewer than 3 paired
     composite samples survive the swap check's acceptance windows.
@@ -693,12 +750,6 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
     lhs = lhs_se = rhs = rhs_se = z_book = nan
     acc_rate = nan
 
-    need_direct = {"unconditional", "bookkeeping"} & set(checks)
-    if need_direct:
-        h_all, endp = _ensemble(cfg)
-        direct_mean = float(np.mean(h_all))
-        direct_se = float(np.std(h_all) / math.sqrt(len(h_all)))
-
     need_quint = {"unconditional", "swap"} & set(checks)
     if need_quint:
         qcfg = PolymerConfig(T=cfg.T, beta=cfg.beta, dt=cfg.dt, bin=cfg.bin,
@@ -707,17 +758,28 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         y, h1, h2, t1, t2 = _quintuple(pos, qcfg)
         quintuples = list(zip(y, h1, h2, t1, t2))
 
-    # the composite runs, each on its own stream: (stream, swap)
-    runs = {}
+    # every stream is one job of a single process map: the right-hand
+    # side of the bookkeeping identity (the longest job), the composite
+    # runs, each on its own stream, then the direct ensemble's chunks
+    calls = {}
+    if "bookkeeping" in checks:
+        calls["bookkeeping"] = lambda: _bookkeeping_rhs(a, sol, cfg)
+    streams = {}
     if "unconditional" in checks:
-        runs["unconditional"] = (1_000_003, False)
+        streams["unconditional"] = (1_000_003, False)
     if "swap" in checks:
-        runs["plain"] = (4_000_037, False)
-        runs["swapped"] = (2_000_003, True)
-    comps = dict(zip(runs, _map(
-        lambda stream, swap: _composite_h(_rng(cfg.seed, stream), quintuples,
-                                          cfg, swap=swap),
-        runs.values())))
+        streams["plain"] = (4_000_037, False)
+        streams["swapped"] = (2_000_003, True)
+    for name, (stream, swap) in streams.items():
+        calls[name] = (lambda stream=stream, swap=swap: _composite_h(
+            _rng(cfg.seed, stream), quintuples, cfg, swap=swap))
+    direct = [cfg] if {"unconditional", "bookkeeping"} & set(checks) else []
+    out = _ensembles(direct, calls=list(calls.values()))
+    comps = dict(zip(calls, out[len(direct):]))
+    if direct:
+        h_all, endp = out[0]
+        direct_mean = float(np.mean(h_all))
+        direct_se = float(np.std(h_all) / math.sqrt(len(h_all)))
 
     if "unconditional" in checks:
         comp, acc_rate = comps["unconditional"]
@@ -745,7 +807,11 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         z_swap_var = float((va - vb) / se_v)
 
     if "bookkeeping" in checks:
-        lhs, lhs_se, rhs, rhs_se = _bookkeeping_sides(a, sol, cfg, h_all, endp)
+        # e^{aT} E[e^{-H_T} e^{-rho(a) B_T}; B_T >= 0] from the direct paths
+        w = np.exp(a * cfg.T - h_all - sol.rho * endp)
+        w[endp < 0.0] = 0.0
+        lhs, lhs_se = float(np.mean(w)), float(np.std(w) / math.sqrt(len(w)))
+        rhs, rhs_se = comps["bookkeeping"]
         z_book = (lhs - rhs) / math.hypot(lhs_se, rhs_se)
 
     return RayKnightReport(
@@ -758,22 +824,16 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         z_bookkeeping=float(z_book), acceptance=float(acc_rate))
 
 
-def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
-                       h_all: np.ndarray, endp: np.ndarray):
-    """Both sides of the weighted boundary identity at tilt a.
+def _bookkeeping_rhs(a: float, sol, cfg: PolymerConfig):
+    """Right side of the weighted boundary identity at tilt a, and its se.
 
-    Left: e^{aT} E[e^{-H_T} e^{-rho(a) B_T}; B_T >= 0] from the direct
-    ensemble.  Right: expectation over (equilibrium start X0, absorbed
-    profile from X0 with area t1, eigenfunction-weighted middle profile
-    read at matched areas, absorbed profile from the read level with
-    area t2), with the t2 integral discretized into bins.
+    The expectation over (equilibrium start X0, absorbed profile from X0
+    with area t1, eigenfunction-weighted middle profile read at matched
+    areas, absorbed profile from the read level with area t2), with the
+    t2 integral discretized into bins, simulated on stream 3_000_017.
+    The left side comes from the direct ensemble in rayknight_consistency.
     """
     T = cfg.T
-    w = np.exp(a * T - h_all - sol.rho * endp)
-    w[endp < 0.0] = 0.0
-    lhs = float(np.mean(w))
-    lhs_se = float(np.std(w) / math.sqrt(len(w)))
-
     n = 8000  # right-hand-side samples
     g = _rng(cfg.seed, 3_000_017)
     x0 = _equilibrium_draw(sol)(g, n)
@@ -849,6 +909,4 @@ def _bookkeeping_sides(a: float, sol, cfg: PolymerConfig,
             / (xa0[rows] * xa_y * y_lvl),
             0.0)
         contrib[rows] += term
-    rhs = float(np.mean(contrib))
-    rhs_se = float(np.std(contrib) / math.sqrt(n))
-    return lhs, lhs_se, rhs, rhs_se
+    return float(np.mean(contrib)), float(np.std(contrib) / math.sqrt(n))

@@ -9,11 +9,12 @@ seed-pinned regressions, not claims about the T -> infinity limits.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from edwards1d import edwardsmc
+from edwards1d import besselsim, edwardsmc
 from edwards1d.constants import compute_constants
 from edwards1d.edwardsmc import (
     CHUNK,
@@ -21,9 +22,12 @@ from edwards1d.edwardsmc import (
     LocalTimeHistogram,
     PolymerConfig,
     PolymerEstimate,
+    ROWS,
     SequentialEstimate,
+    _chunk_paths,
     _composite_h,
     _ensemble,
+    _positions,
     _rng,
     local_time_histogram,
     rate_vs_horizon,
@@ -259,6 +263,111 @@ class TestChunkIndependence:
         assert len(h_big) == 2 * CHUNK + 37
         assert np.array_equal(h_big[:CHUNK], h_one)
         assert np.array_equal(end_big[:CHUNK], end_one)
+
+
+class TestChunkContract:
+    """_chunk_paths draws and bins ROWS paths at a time.
+
+    Its paths must be _positions' paths bit for bit, and its integer H
+    must match a per-path bincount of the same paths.
+    """
+
+    CFG = PolymerConfig(T=1.0, beta=1.0, dt=0.004, bin=0.1,
+                        n_paths=2 * CHUNK + 37, seed=8)
+
+    # (chunk, paths): less than, exactly and just over one block, a full
+    # chunk, and the short last chunk of 2 * CHUNK + 37 paths
+    @pytest.mark.parametrize("ci, m", [(0, 1), (0, ROWS - 1), (0, ROWS),
+                                       (0, ROWS + 1), (0, CHUNK), (2, 37)])
+    def test_matches_unblocked_paths(self, ci, m):
+        cfg = self.CFG
+        h, endp = _chunk_paths(_rng(cfg.seed, ci), m, cfg, drift=0.3)
+        pos = _positions(_rng(cfg.seed, ci), m, cfg, drift=0.3)
+        assert np.array_equal(endp, pos[:, -1])
+        oracle = np.empty(m)
+        for i, row in enumerate(np.floor(pos / cfg.bin).astype(np.int64)):
+            occ = np.bincount(row - row.min()) * cfg.dt
+            oracle[i] = np.sum(occ * occ) / cfg.bin
+        # an exact integer sum of squares against a float one: the two
+        # differ by a few ulp (at most 6.7e-16 relative over
+        # four full chunks measured, T = 1 to 8, with and without drift)
+        assert np.max(np.abs(h / oracle - 1.0)) <= 1e-15
+
+    def test_short_last_chunk_in_ensemble(self):
+        cfg = self.CFG
+        h, endp = _ensemble(cfg)
+        last = _chunk_paths(_rng(cfg.seed, 2), 37, cfg)
+        assert np.array_equal(h[2 * CHUNK:], last[0])
+        assert np.array_equal(endp[2 * CHUNK:], last[1])
+
+    def test_peak_memory_is_one_block(self):
+        # one T = 8, dt = 0.004 chunk measured 12,812,870 bytes at its peak:
+        # three ROWS x T/dt arrays of 8 bytes (positions, bin indices and
+        # the quotient pos / bin, 12.29 MB) and a few per-path arrays.  The
+        # bound of four such arrays leaves a 28% margin; the unblocked
+        # chunk peaked at 196.6 MB
+        cfg = PolymerConfig(T=8.0, beta=1.0, dt=0.004, bin=0.1,
+                            n_paths=CHUNK, seed=5)
+        tracemalloc.start()
+        try:
+            _chunk_paths(_rng(cfg.seed, 0), CHUNK, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * ROWS * cfg.n_steps * 8
+
+
+class TestOneMapPerEstimator:
+    """scaling_collapse and rate_vs_horizon put every chunk in one _map.
+
+    Their results must equal those built from sample_polymer run once
+    per configuration.
+    """
+
+    CFG = PolymerConfig(T=1.0, beta=1.0, dt=0.004, bin=0.1,
+                        n_paths=CHUNK + 37, seed=21)
+
+    @staticmethod
+    def _count_maps(monkeypatch):
+        maps = []
+        real = besselsim._map
+
+        def counting(fn, jobs):
+            jobs = list(jobs)
+            maps.append(len(jobs))
+            return real(fn, jobs)
+
+        monkeypatch.setattr(besselsim, "_map", counting)
+        return maps
+
+    @staticmethod
+    def _one_by_one(monkeypatch):
+        cfgs = []
+
+        def estimates(configs):
+            cfgs.extend(configs)
+            return {c: sample_polymer(c) for c in configs}
+
+        monkeypatch.setattr(edwardsmc, "_estimates", estimates)
+        return cfgs
+
+    def test_scaling_collapse(self, monkeypatch):
+        maps = self._count_maps(monkeypatch)
+        merged = scaling_collapse((0.5, 1.0, 2.0), self.CFG)
+        # five distinct configurations (the beta = 1 reference is the
+        # direct run itself), two chunks each
+        assert maps == [10]
+        cfgs = self._one_by_one(monkeypatch)
+        assert scaling_collapse((0.5, 1.0, 2.0), self.CFG) == merged
+        assert len(cfgs) == 6 and len(set(cfgs)) == 5
+
+    def test_rate_vs_horizon(self, monkeypatch):
+        maps = self._count_maps(monkeypatch)
+        merged = rate_vs_horizon(self.CFG, (1.0, 1.5, 2.0))
+        assert maps == [6]
+        cfgs = self._one_by_one(monkeypatch)
+        assert rate_vs_horizon(self.CFG, (1.0, 1.5, 2.0)) == merged
+        assert [c.T for c in cfgs] == [1.0, 1.5, 2.0]
 
 
 class TestBinnedRefinement:

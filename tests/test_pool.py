@@ -25,9 +25,11 @@ from edwards1d.besselsim import (
 )
 from edwards1d.edwardsmc import (
     PolymerConfig,
+    rate_vs_horizon,
     rayknight_consistency,
     sample_polymer,
     sample_polymer_sequential,
+    scaling_collapse,
     tilted_mgf,
 )
 
@@ -69,6 +71,10 @@ CASES = {
         record_times=[0.1, 0.2]),
     "sample_polymer_sequential": lambda: sample_polymer_sequential(
         _poly(1.0, 2 * CHUNK, 5)),
+    "scaling_collapse": lambda: scaling_collapse(
+        (0.5, 1.0, 2.0), _poly(1.0, CHUNK + 37, 6)),
+    "rate_vs_horizon": lambda: rate_vs_horizon(
+        _poly(1.0, CHUNK + 37, 7), (1.0, 1.5, 2.0)),
     "rayknight_consistency": lambda: rayknight_consistency(
         1.0, _poly(1.0, CHUNK + 1, 19), n_quintuples=8,
         checks=("unconditional", "swap", "bookkeeping")),
