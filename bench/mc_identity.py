@@ -16,9 +16,11 @@ pinned configurations of the Monte Carlo tests (``scaling_collapse`` and
 ``rate_vs_horizon`` among them), the Monte Carlo CLI defaults and the
 benchmark's Ray-Knight op, plus the rate layer: ``constants``, ``rate-curve``
 and ``mgf-curve`` at their defaults and ``legendre_check`` at the
-benchmark's b = 1.25, 1.5 and 2.0.  Each side computes its constants cold,
-into a cache file of its own.  Each side takes about 6 minutes on a 2-vCPU
-Xeon virtual machine.
+benchmark's b = 1.25, 1.5 and 2.0, and the deterministic solvers:
+``principal_eigen`` at a = -1e4, -3, 0, 2 and 60, ``rho_derivative(2.0)``,
+``compute_constants(use_cache=False)`` and ``eigen --a 1``.  Each side
+computes its constants cold, into a cache file of its own.  Each side takes
+about 6 minutes on a 2-vCPU Xeon virtual machine.
 """
 
 import argparse
@@ -53,6 +55,7 @@ def cases():
     from edwards1d import cli
     from edwards1d.besselsim import (SimConfig, equilibrium_sampler, estimate_w,
                                      estimate_y, simulate_besq, simulate_tilted)
+    from edwards1d.constants import compute_constants
     from edwards1d.edwardsmc import (CHUNK, PolymerConfig, _ensemble, _rng,
                                      local_time_histogram, rate_vs_horizon,
                                      rayknight_consistency, sample_polymer,
@@ -60,6 +63,7 @@ def cases():
                                      tilted_mgf)
     from edwards1d.errors import HorizonError
     from edwards1d.rate import legendre_check
+    from edwards1d.sturm import principal_eigen, rho_derivative
 
     sim = SimConfig
 
@@ -71,6 +75,13 @@ def cases():
         with contextlib.redirect_stdout(out):
             code = cli.main(list(argv))
         return code, out.getvalue()
+
+    def eigen(a):
+        # the fields by name, so a checkout whose EigenSolution carries
+        # more of them (such as the old interval count n) still compares
+        sol = principal_eigen(a)
+        return {f: getattr(sol, f)
+                for f in ("a", "rho", "rho1", "h", "x", "weights", "h_max")}
 
     def horizon(fn, *args):
         try:
@@ -160,6 +171,10 @@ def cases():
         "legendre_1.25": lambda: legendre_check(1.25),
         "legendre_1.5": lambda: legendre_check(1.5),
         "legendre_2.0": lambda: legendre_check(2.0),
+        **{f"eigen_{a:g}": lambda a=a: eigen(a) for a in (-1e4, -3.0, 0.0, 2.0, 60.0)},
+        "rho_derivative_2": lambda: rho_derivative(2.0),
+        "constants_cold": lambda: compute_constants(use_cache=False),
+        "cli_eigen_a1": lambda: run_cli("eigen", "--a", "1"),
     }
     return c
 

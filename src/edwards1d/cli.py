@@ -413,7 +413,8 @@ def _build_parser():
     arg("--checks", default="unconditional,swap",
         help="comma list from unconditional,swap,bookkeeping")
     arg("--quintuples", type=int, default=100,
-        help="decomposition draws for the swap check (default 100)")
+        help="decomposition draws for the unconditional and swap checks, "
+             "at least 3 (default 100)")
     polymer_args(arg)
 
     return top, registry

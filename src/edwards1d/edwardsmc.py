@@ -546,9 +546,13 @@ def rate_vs_horizon(cfg: PolymerConfig, horizons) -> HorizonFit:
     """Fit rate_at_T = a_inf + kappa / T over the given horizons.
 
     Each horizon's rate is sample_polymer's; the chunks of all the
-    horizons go through one process map.
+    horizons go through one process map.  Raises DomainError for fewer
+    than two distinct horizons, which leave the line undetermined.
     """
     horizons = tuple(float(t) for t in horizons)
+    if len(set(horizons)) < 2:
+        raise DomainError(f"the fit needs at least two distinct horizons, "
+                          f"got {horizons!r}")
     cfgs = [PolymerConfig(T=t, beta=cfg.beta, dt=cfg.dt, bin=cfg.bin,
                           n_paths=cfg.n_paths, seed=cfg.seed) for t in horizons]
     est = _estimates(cfgs)
@@ -727,9 +731,10 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
     right-hand side of the bookkeeping identity each draw from their own
     stream and run as jobs of one process map.
 
-    Raises DomainError for an empty or unknown check list or a swap check
-    with fewer than 3 quintuples, and ConditioningError when fewer than 3 paired
-    composite samples survive the swap check's acceptance windows.
+    Raises DomainError for an empty or unknown check list or an
+    unconditional or swap check with fewer than 3 quintuples, and
+    ConditioningError when fewer than 3 composite samples (paired, for the
+    swap check) survive the acceptance windows.
     """
     a = float(a)
     if not checks:
@@ -739,9 +744,10 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
     if unknown:
         raise DomainError(f"unknown checks: {sorted(unknown)!r}; choose from "
                           f"unconditional, swap, bookkeeping")
-    if "swap" in checks and n_quintuples < 3:
-        raise DomainError(f"the swap check needs n_quintuples >= 3, "
-                          f"got {n_quintuples!r}")
+    need_quint = {"unconditional", "swap"} & set(checks)
+    if need_quint and n_quintuples < 3:
+        raise DomainError(f"the unconditional and swap checks need "
+                          f"n_quintuples >= 3, got {n_quintuples!r}")
     sol = principal_eigen(a)
     nan = math.nan
 
@@ -750,7 +756,6 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
     lhs = lhs_se = rhs = rhs_se = z_book = nan
     acc_rate = nan
 
-    need_quint = {"unconditional", "swap"} & set(checks)
     if need_quint:
         qcfg = PolymerConfig(T=cfg.T, beta=cfg.beta, dt=cfg.dt, bin=cfg.bin,
                              n_paths=n_quintuples, seed=cfg.seed + 1)
@@ -783,6 +788,10 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
 
     if "unconditional" in checks:
         comp, acc_rate = comps["unconditional"]
+        # one sample has no spread: its se of 0 would make any gap a breach
+        if len(comp) < 3:
+            raise ConditioningError(f"the unconditional check kept {len(comp)} "
+                                    f"composite samples; it needs at least 3")
         comp_mean = float(np.mean(comp))
         comp_se = float(np.std(comp) / math.sqrt(len(comp)))
         z_unc = (direct_mean - comp_mean) / math.hypot(direct_se, comp_se)

@@ -22,8 +22,8 @@ is exact for our purposes.
 The generalized symmetric problem (S + W Q) x = rho W x (W = control-volume
 widths) is folded to an ordinary symmetric tridiagonal one and the top
 eigenpair extracted by LAPACK bisection + inverse iteration.  rho converges
-at second order in the mesh, so a Richardson pass over n, 2n, ... is used,
-and h_max doubles until rho is insensitive to it.
+at second order in the mesh, so a Richardson pass over n = 2500, 5000 and
+10000 is used, and h_max doubles until rho is insensitive to it.
 
 Hellmann-Feynman gives rho'(a) = int h x_a(h)^2 dh exactly for each discrete
 level (the matrix depends linearly on a), so rho' is extrapolated alongside
@@ -44,7 +44,7 @@ h = 0, and every truncation is a lower bound on rho rising with N
 Boyd, Chebyshev and Fourier Spectral Methods (2001), ch. 17.
 
 Both solvers cache by exact argument, least recently used first out:
-principal_eigen per (a, cfg), 512 entries, and eigenvalue per Ritz pair
+principal_eigen per (a, h_max), 512 entries, and eigenvalue per Ritz pair
 (a, N), both truncations of 512 distinct a.  eigenvalue runs its N against
 N + 16 check on cache hits too; clear_cache() empties both caches.
 """
@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
@@ -64,29 +63,9 @@ SQRT2 = math.sqrt(2.0)
 
 _GRADING = 2.0  # grid exponent; quadratic grading resolves the h = 0 region
 _DECAY_BUDGET = 34.0  # -log of the eigenfunction-squared tail kept on grid
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Discretization parameters for principal_eigen.
-
-    n is the coarsest interval count; refine_levels successive doublings are
-    solved and Richardson-extrapolated.  h_max None means automatic from the
-    decay law plus a doubling test.
-    """
-
-    n: int = 2500
-    h_max: Optional[float] = None
-    tol: float = 1e-9
-    refine_levels: int = 2
-
-    def __post_init__(self):
-        if self.n < 64:
-            raise DomainError(f"SolverConfig.n must be >= 64, got {self.n}")
-        if not (self.tol > 0.0):
-            raise DomainError(f"SolverConfig.tol must be > 0, got {self.tol}")
-        if self.refine_levels < 0:
-            raise DomainError("SolverConfig.refine_levels must be >= 0")
+_LEVELS = (2500, 5000, 10000)  # interval counts of the Richardson levels
+_N_PROBE = 1024  # interval count of the h_max doubling probe
+_H_MAX_TOL = 1e-10  # rho change allowed when the box doubles
 
 
 @dataclass(frozen=True)
@@ -103,7 +82,6 @@ class EigenSolution:
     h: np.ndarray
     x: np.ndarray
     weights: np.ndarray
-    n: int
     h_max: float
 
 
@@ -170,25 +148,18 @@ def _h_max_auto(a: float) -> float:
     return h
 
 
-def _resolve_h_max(a: float, cfg: SolverConfig) -> float:
-    if cfg.h_max is not None:
-        if cfg.h_max <= 0.0:
-            raise DomainError(f"h_max must be positive, got {cfg.h_max}")
-        return float(cfg.h_max)
+def _resolve_h_max(a: float) -> float:
     hm = _h_max_auto(a)
-    n_probe = min(cfg.n, 1024)
-    rho_next = None
+    n_ext = _N_PROBE // 8
     for _ in range(6):
-        base = _grid(hm, n_probe)
+        base = _grid(hm, _N_PROBE)
         # extend the SAME grid out to 2 h_max so the comparison isolates the
         # truncation effect instead of re-discretizing everything
-        d_end = base[-1] - base[-2]
-        ext = base[-1] + np.cumsum(np.full(max(16, n_probe // 8),
-                                           max(d_end, hm / max(16, n_probe // 8))))
+        ext = base[-1] + np.cumsum(np.full(n_ext, max(base[-1] - base[-2], hm / n_ext)))
         extended = np.concatenate([base, ext[ext > base[-1]]])
         rho_base = _solve_on_grid(a, base)[0]
         rho_next = _solve_on_grid(a, extended)[0]
-        if abs(rho_next - rho_base) < cfg.tol / 10.0:
+        if abs(rho_next - rho_base) < _H_MAX_TOL:
             return hm
         hm *= 2.0
     raise SolverError(
@@ -196,51 +167,36 @@ def _resolve_h_max(a: float, cfg: SolverConfig) -> float:
         f"{rho_base!r}, {rho_next!r}")
 
 
-def principal_eigen(a: float, cfg: SolverConfig | None = None) -> EigenSolution:
+def principal_eigen(a: float, h_max: float | None = None) -> EigenSolution:
     """Top eigenpair of K_a with Richardson-extrapolated rho and rho'.
 
-    The 512 most recently used (a, cfg) pairs are cached; a hit returns the
-    same object.
+    h_max None picks the box from the decay law plus a doubling test; a
+    given h_max must be positive.  The 512 most recently used (a, h_max)
+    pairs are cached; a hit returns the same object.
     """
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"a must be finite, got {a!r}")
-    return _principal_eigen(a, SolverConfig() if cfg is None else cfg)
+    if h_max is not None:
+        h_max = float(h_max)
+        if not h_max > 0.0:
+            raise DomainError(f"h_max must be positive, got {h_max!r}")
+    return _principal_eigen(a, h_max)
 
 
 @lru_cache(maxsize=512)
-def _principal_eigen(a: float, cfg: SolverConfig) -> EigenSolution:
-    h_max = _resolve_h_max(a, cfg)
-    ns = [cfg.n * (2**lvl) for lvl in range(cfg.refine_levels + 1)]
-    rhos, rho1s = [], []
-    finest = None
-    for n in ns:
-        rho, rho1, h, x, w = _solve_level(a, h_max, n)
-        rhos.append(rho)
-        rho1s.append(rho1)
-        finest = (h, x, w, n)
-
-    def extrapolate(seq):
-        # successive second-order Richardson; mesh ratio 2
-        cur = list(seq)
-        order = 2.0
-        while len(cur) > 1:
-            fac = 2.0**order
-            cur = [(fac * cur[i + 1] - cur[i]) / (fac - 1.0) for i in range(len(cur) - 1)]
-            order += 1.0
-        return cur[0]
-
-    rho = extrapolate(rhos)
-    rho1 = extrapolate(rho1s)
-    if len(rhos) >= 2:
-        last_pair = abs(rhos[-1] - rhos[-2])
-        if len(rhos) >= 3 and last_pair > 4.0 * abs(rhos[-2] - rhos[-3]):
-            raise SolverError(
-                f"refinement diverging at a={a:g}: iterates {rhos[-2]!r}, {rhos[-1]!r}")
-
-    h, x, w, n_fin = finest
-    return EigenSolution(a=a, rho=rho, rho1=rho1, h=h, x=x, weights=w,
-                         n=n_fin, h_max=h_max)
+def _principal_eigen(a: float, h_max: float | None) -> EigenSolution:
+    if h_max is None:
+        h_max = _resolve_h_max(a)
+    r0, p0, *_ = _solve_level(a, h_max, _LEVELS[0])
+    r1, p1, *_ = _solve_level(a, h_max, _LEVELS[1])
+    r2, p2, h, x, w = _solve_level(a, h_max, _LEVELS[2])
+    if abs(r2 - r1) > 4.0 * abs(r1 - r0):
+        raise SolverError(f"refinement diverging at a={a:g}: iterates {r1!r}, {r2!r}")
+    # second-order Richardson over the three levels (mesh ratio 2, orders 2, 3)
+    rho = (8.0 * ((4.0 * r2 - r1) / 3.0) - (4.0 * r1 - r0) / 3.0) / 7.0
+    rho1 = (8.0 * ((4.0 * p2 - p1) / 3.0) - (4.0 * p1 - p0) / 3.0) / 7.0
+    return EigenSolution(a=a, rho=rho, rho1=rho1, h=h, x=x, weights=w, h_max=h_max)
 
 
 def eigen_residual(sol: EigenSolution) -> float:
@@ -261,7 +217,7 @@ def eigen_residual(sol: EigenSolution) -> float:
     return math.sqrt(float(np.sum(w * r * r)))
 
 
-def rho_derivative(a: float, cfg: SolverConfig | None = None) -> tuple[float, float]:
+def rho_derivative(a: float) -> tuple[float, float]:
     """(rho'(a), rho''(a)).
 
     rho' is the Hellmann-Feynman integral from principal_eigen.  rho'' is a
@@ -269,14 +225,10 @@ def rho_derivative(a: float, cfg: SolverConfig | None = None) -> tuple[float, fl
     passes agree to 1e-5 relative; the finite-difference solves share the
     center's h_max so the difference sees one fixed discretization.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    center = principal_eigen(a, cfg)
-    fixed = SolverConfig(n=cfg.n, h_max=center.h_max, tol=cfg.tol,
-                         refine_levels=cfg.refine_levels)
+    center = principal_eigen(a)
 
     def rho1_at(aa: float) -> float:
-        return principal_eigen(aa, fixed).rho1
+        return principal_eigen(aa, center.h_max).rho1
 
     step = 1e-3
     prev = (rho1_at(a + step) - rho1_at(a - step)) / (2.0 * step)

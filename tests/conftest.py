@@ -4,6 +4,9 @@ compute_constants() reads and writes a CSV cache, by default under the
 user's ~/.cache.  The test session points it at a file of its own
 temporary directory instead (inherited by the CLI subprocesses), so a test
 run neither reads constants left by another checkout nor leaves any behind.
+
+Several modules test the same Monte Carlo runs; `mc_runs` computes each of
+them once per session.
 """
 
 import os
@@ -51,3 +54,23 @@ def lapack_solves(monkeypatch):
     monkeypatch.setattr(sturm, "_syevr", counted)
     yield solves
     sturm.clear_cache()
+
+
+@pytest.fixture(scope="session")
+def mc_runs():
+    """fn(*args) computed once per session for each distinct (fn, args).
+
+    For the estimators several test modules share (sample_polymer,
+    scaling_collapse, rate_vs_horizon at fixed configurations and seeds).
+    Every argument must be hashable.  A test that checks determinism calls
+    the estimator itself for its second run.
+    """
+    memo = {}
+
+    def run(fn, *args):
+        key = (fn, *args)
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+
+    return run

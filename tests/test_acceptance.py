@@ -214,19 +214,21 @@ def test_criterion_7_stochastic_oracles():
 # -- 8 ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def desk_runs():
+def desk_runs(mc_runs):
+    # the first four runs are shared with test_edwardsmc.py through mc_runs,
+    # so the runtime covers them only when this module computes them first
     t0 = time.perf_counter()
-    free = sample_polymer(PolymerConfig(T=4.0, beta=0.0, dt=0.004, bin=0.1,
-                                        n_paths=20_000, seed=3))
-    collapse = scaling_collapse((0.5, 1.0, 2.0),
-                                PolymerConfig(T=5.0, beta=1.0, dt=0.004,
-                                              bin=0.1, n_paths=40_000,
-                                              seed=17))
-    fit = rate_vs_horizon(PolymerConfig(T=4.0, beta=1.0, dt=0.004, bin=0.1,
-                                        n_paths=40_000, seed=5),
-                          (4.0, 6.0, 8.0))
-    late = sample_polymer(PolymerConfig(T=8.0, beta=1.0, dt=0.004, bin=0.1,
-                                        n_paths=40_000, seed=5))
+    free = mc_runs(sample_polymer, PolymerConfig(T=4.0, beta=0.0, dt=0.004,
+                                                 bin=0.1, n_paths=20_000, seed=3))
+    collapse = mc_runs(scaling_collapse, (0.5, 1.0, 2.0),
+                       PolymerConfig(T=5.0, beta=1.0, dt=0.004, bin=0.1,
+                                     n_paths=40_000, seed=17))
+    fit = mc_runs(rate_vs_horizon,
+                  PolymerConfig(T=4.0, beta=1.0, dt=0.004, bin=0.1,
+                                n_paths=40_000, seed=5),
+                  (4.0, 6.0, 8.0))
+    late = mc_runs(sample_polymer, PolymerConfig(T=8.0, beta=1.0, dt=0.004,
+                                                 bin=0.1, n_paths=40_000, seed=5))
     longest = sample_polymer_sequential(
         PolymerConfig(T=16.0, beta=1.0, dt=0.004, bin=0.1, n_paths=40_000,
                       seed=5))

@@ -226,6 +226,13 @@ class TestPolymerCommands:
         assert rc == 2 and out == ""
         assert "quintuples" in err and "Traceback" not in err
 
+    def test_rayknight_unconditional_needs_three_quintuples(self, capsys):
+        # one quintuple reported composite_se = 0 and exited 1 on a false breach
+        rc, out, err = run_cli(capsys, "rayknight", "--T", "2", "--n", "4000",
+                               "--quintuples", "1", "--checks", "unconditional")
+        assert rc == 2 and out == ""
+        assert "quintuples" in err and "Traceback" not in err
+
     def test_collapse_rows(self, capsys):
         rc, out, _ = run_cli(capsys, "collapse", "--betas", "1",
                              "--T", "2", "--n", "2000", "--seed", "4")

@@ -119,17 +119,18 @@ class TestFreeCase:
     CFG = PolymerConfig(T=4.0, beta=0.0, dt=0.004, bin=0.1,
                         n_paths=20_000, seed=3)
 
-    def test_logz_exactly_zero(self):
-        est = sample_polymer(self.CFG)
+    @pytest.fixture
+    def est(self, mc_runs):
+        return mc_runs(sample_polymer, self.CFG)
+
+    def test_logz_exactly_zero(self, est):
         assert est.logZ == 0.0
         assert est.ess == float(self.CFG.n_paths)
 
-    def test_endpoint_symmetry(self):
-        est = sample_polymer(self.CFG)
+    def test_endpoint_symmetry(self, est):
         assert abs(est.signed_mean) <= 3.0 * est.signed_se
 
-    def test_skew_vanishes(self):
-        est = sample_polymer(self.CFG)
+    def test_skew_vanishes(self, est):
         assert abs(est.skew) <= 3.0 * est.skew_se
 
 
@@ -138,8 +139,8 @@ T8_CFG = PolymerConfig(T=8.0, beta=1.0, dt=0.004, bin=0.1,
 
 
 @pytest.fixture(scope="module")
-def est():
-    return sample_polymer(T8_CFG)
+def est(mc_runs):
+    return mc_runs(sample_polymer, T8_CFG)
 
 
 class TestSamplePolymer:
@@ -388,8 +389,8 @@ HORIZON_CFG = PolymerConfig(T=4.0, beta=1.0, dt=0.004, bin=0.1,
 
 
 @pytest.fixture(scope="module")
-def fit():
-    return rate_vs_horizon(HORIZON_CFG, (4.0, 6.0, 8.0))
+def fit(mc_runs):
+    return mc_runs(rate_vs_horizon, HORIZON_CFG, (4.0, 6.0, 8.0))
 
 
 class TestRateVsHorizon:
@@ -408,6 +409,13 @@ class TestRateVsHorizon:
 
     def test_deterministic(self, fit):
         assert rate_vs_horizon(self.CFG, (4.0, 6.0, 8.0)) == fit
+
+    @pytest.mark.parametrize("horizons", [(2.0,), (2.0, 2.0)])
+    def test_needs_two_distinct_horizons(self, horizons):
+        # one distinct horizon leaves the slope free: polyfit split the
+        # single rate between slope and intercept and returned half of it
+        with pytest.raises(DomainError, match="two distinct horizons"):
+            rate_vs_horizon(self.CFG, horizons)
 
 
 MGF_CFG = PolymerConfig(T=6.0, beta=1.0, dt=0.004, bin=0.1,
@@ -452,8 +460,8 @@ COLLAPSE_CFG = PolymerConfig(T=5.0, beta=1.0, dt=0.004, bin=0.1,
 
 
 @pytest.fixture(scope="module")
-def report():
-    return scaling_collapse((0.5, 1.0, 2.0), COLLAPSE_CFG)
+def report(mc_runs):
+    return mc_runs(scaling_collapse, (0.5, 1.0, 2.0), COLLAPSE_CFG)
 
 
 class TestScalingCollapse:
@@ -540,6 +548,25 @@ class TestRayKnight:
         with pytest.raises(ConditioningError, match="paired"):
             rayknight_consistency(1.0, self.CFG, n_quintuples=3,
                                   checks=("swap",))
+
+    @pytest.mark.parametrize("n_quintuples", [1, 2])
+    def test_unconditional_check_needs_three_quintuples(self, n_quintuples):
+        # one quintuple gave a composite se of 0, and the check then
+        # reported a breach (|z| from 6.9 to 68 over eight seeds)
+        with pytest.raises(DomainError, match="n_quintuples >= 3"):
+            rayknight_consistency(1.0, self.CFG, n_quintuples=n_quintuples,
+                                  checks=("unconditional",))
+
+    @pytest.mark.parametrize("kept", [0, 1, 2])
+    def test_unconditional_check_needs_three_samples(self, monkeypatch, kept):
+        # no surviving sample gave a nan composite mean, and the check passed
+        monkeypatch.setattr(edwardsmc, "_composite_h",
+                            lambda g, q, cfg, swap: (np.arange(1.0, kept + 1), 0.5))
+        cfg = PolymerConfig(T=1.0, beta=1.0, dt=0.004, bin=0.1,
+                            n_paths=200, seed=19)
+        with pytest.raises(ConditioningError, match="unconditional check kept"):
+            rayknight_consistency(1.0, cfg, n_quintuples=3,
+                                  checks=("unconditional",))
 
     def test_vanishing_window_raises_conditioning_error(self):
         g = _rng(0, 1)

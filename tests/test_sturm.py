@@ -24,7 +24,6 @@ from edwards1d.airy import a_2star
 from edwards1d.errors import DomainError, SolverError
 from edwards1d.sturm import (
     EigenSolution,
-    SolverConfig,
     eigenvalue,
     principal_eigen,
     eigen_residual,
@@ -80,10 +79,10 @@ def test_tail_decay_default_box():
 
 
 def test_tail_decay_large_box():
-    sol = principal_eigen(2.0, SolverConfig(h_max=30.0, n=4000))
-    idx = np.searchsorted(sol.h, 27.0)
-    idx = min(idx, len(sol.h) - 2)
-    ratio = np.log(sol.x[idx]) / sol.h[idx] ** 1.5
+    _, _, h, x, _ = sturm._solve_level(2.0, 30.0, 16000)
+    idx = np.searchsorted(h, 27.0)
+    idx = min(idx, len(h) - 2)
+    ratio = np.log(x[idx]) / h[idx] ** 1.5
     assert abs(ratio - TAIL_TARGET) < 0.1 * abs(TAIL_TARGET)
 
 
@@ -99,19 +98,14 @@ def test_tail_exponent_structure():
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        SolverConfig(n=32)
-    with pytest.raises(DomainError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(DomainError):
-        SolverConfig(refine_levels=-1)
-    with pytest.raises(DomainError):
         principal_eigen(float("nan"))
+    with pytest.raises(DomainError):
+        principal_eigen(2.0, h_max=0.0)
 
 
 def test_rho_monotone_and_convex():
     a_grid = np.arange(-5.0, 6.0 + 1e-9, 0.25)
-    cfg = SolverConfig(n=1200, refine_levels=1)
-    rho = np.array([principal_eigen(a, cfg).rho for a in a_grid])
+    rho = np.array([principal_eigen(a).rho for a in a_grid])
     d1 = np.diff(rho)
     assert np.all(d1 > 0.0)
     d2 = np.diff(rho, 2)
@@ -123,17 +117,16 @@ def test_hellmann_feynman_consistency():
     # rho(a) on the same box to 1e-5 relative.
     for a in (-2.0, 0.0, 2.0, 3.0):
         sol = principal_eigen(a)
-        fixed = SolverConfig(h_max=sol.h_max)
         d = 1e-3
-        fd = (principal_eigen(a + d, fixed).rho - principal_eigen(a - d, fixed).rho) / (2 * d)
+        fd = (principal_eigen(a + d, sol.h_max).rho
+              - principal_eigen(a - d, sol.h_max).rho) / (2 * d)
         assert abs(fd - sol.rho1) < 1e-5 * abs(sol.rho1)
 
 
 def test_refinement_order():
     # successive mesh doubling reduces the rho error at order >= 1.8
     hm = 13.0
-    vals = [principal_eigen(2.0, SolverConfig(h_max=hm, n=n, refine_levels=0)).rho
-            for n in (1500, 3000, 6000)]
+    vals = [sturm._solve_level(2.0, hm, n)[0] for n in (1500, 3000, 6000)]
     r = (vals[0] - vals[1]) / (vals[1] - vals[2])
     order = math.log2(abs(r))
     assert order > 1.8
