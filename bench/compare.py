@@ -1,6 +1,7 @@
 """Paired before/after runs of the edwards1d benchmark, written as BENCH_<topic>.json.
 
     python3 bench/compare.py --before DIR --after DIR --topic airy
+        [--first-seed 101] [--workload mc-validate]
 
 DIR is the root of a checkout (for "before", e.g. one made with
 ``git archive <commit> | tar -x -C DIR``).  First each checkout's ``src/``,
@@ -9,14 +10,17 @@ DIR is the root of a checkout (for "before", e.g. one made with
 directories of one temporary directory, and the runs use those copies: the
 two sides then always run from the same kind of location, also with
 ``--after .`` (run in place, the working checkout read a few percent slower
-than the same tree elsewhere).  Every workload of BENCHMARK.json runs at its
-run_seconds for the ten seeds SEEDS: the two copies run ``perfbench/run.py``
+than the same tree elsewhere).  Every workload of BENCHMARK.json (or the one
+named by --workload) runs at its run_seconds for ten consecutive seeds from
+--first-seed (101; a claim is re-checked on seeds no earlier comparison
+used): the two copies run ``perfbench/run.py``
 back to back, untraced, alternating which goes first; then each makes one
 traced run at the first seed.  Every run must report ``correct: true``.
 
 The JSON holds, per workload and metric, both sides' values, medians and
-quartiles, the number of pairs in which "after" is better, and ``resolved``:
-whether "after" is better in at least nine of ten pairs and its median is
+quartiles; per kind of operation, the median and quartiles over the runs of
+each run's median latency (``kind_ms``); the number of pairs in which "after"
+is better, and ``resolved``: whether "after" is better in at least nine of ten pairs and its median is
 better than "before"'s by more than "before"'s quartile gap.  From the traced
 runs it holds the per-layer metrics.
 """
@@ -31,7 +35,6 @@ import statistics
 import sys
 import tempfile
 
-SEEDS = list(range(101, 111))
 STAGED = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
 UNSTAGED = shutil.ignore_patterns("__pycache__", ".perfbench_run", ".perfbench_out")
 
@@ -63,7 +66,8 @@ def run(root, baseline, workload, seed, seconds, trace):
     if not res["correct"]:
         raise SystemExit(f"{workload} seed {seed} in {root} is not correct: "
                          f"{detail['failures']}")
-    return {k: v["value"] for k, v in res["metrics"].items()}
+    return ({k: v["value"] for k, v in res["metrics"].items()},
+            {k: statistics.median(v) for k, v in detail["kind_ms"].items()})
 
 
 def summarise(values):
@@ -76,12 +80,15 @@ def main(argv=None):
     ap.add_argument("--before", required=True)
     ap.add_argument("--after", required=True)
     ap.add_argument("--topic", required=True)
+    ap.add_argument("--first-seed", type=int, default=101)
+    ap.add_argument("--workload")
     args = ap.parse_args(argv)
+    seeds = list(range(args.first_seed, args.first_seed + 10))
     out_path = os.path.abspath(f"BENCH_{args.topic}.json")
     with tempfile.TemporaryDirectory(prefix="edwards1d-compare-") as tmp:
         roots = {side: stage(os.path.abspath(getattr(args, side)), os.path.join(tmp, side))
                  for side in ("before", "after")}
-        out = compare(roots)
+        out = compare(roots, seeds, args.workload)
         os.chdir(os.path.dirname(out_path))  # leave the copies before they go
     with open(out_path, "w") as fh:
         json.dump(out, fh, indent=1)
@@ -89,7 +96,7 @@ def main(argv=None):
     print(f"wrote {out_path}", file=sys.stderr)
 
 
-def compare(roots):
+def compare(roots, seeds, only=None):
     """Paired runs of both staged checkouts; the BENCH_<topic>.json content."""
     with open(os.path.join(roots["after"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -99,16 +106,21 @@ def compare(roots):
 
     out = {"machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "platform": platform.platform()},
-           "run_seconds": seconds, "seeds": SEEDS, "workloads": {}}
-    for wl in (w["name"] for w in spec["workloads"]):
+           "run_seconds": seconds, "seeds": seeds, "workloads": {}}
+    for wl in (w["name"] for w in spec["workloads"] if only in (None, w["name"])):
         runs = {"before": [], "after": []}
-        for i, seed in enumerate(SEEDS):
+        kinds = {"before": [], "after": []}
+        for i, seed in enumerate(seeds):
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             for side in order:
-                runs[side].append(run(roots[side], baselines[side], wl, seed, seconds, 0))
-                print(wl, seed, side, runs[side][-1], file=sys.stderr)
+                metrics, kind_ms = run(roots[side], baselines[side], wl, seed, seconds, 0)
+                runs[side].append(metrics)
+                kinds[side].append(kind_ms)
+                print(wl, seed, side, metrics, file=sys.stderr)
         entry = {side: {m: summarise([r[m] for r in runs[side]]) for m in lower_is_better}
                  for side in runs}
+        entry["kind_ms"] = {side: {k: summarise([r[k] for r in kinds[side]])
+                                   for k in kinds[side][0]} for side in kinds}
         entry["after_better_pairs"] = {}
         entry["resolved"] = {}
         for m, lower in lower_is_better.items():
@@ -119,7 +131,7 @@ def compare(roots):
             entry["after_better_pairs"][m] = pairs
             entry["resolved"][m] = bool(
                 pairs >= 9 and sign * (b["median"] - a["median"]) > b["q3"] - b["q1"])
-        entry["traced"] = {side: run(roots[side], baselines[side], wl, SEEDS[0], seconds, 1)
+        entry["traced"] = {side: run(roots[side], baselines[side], wl, seeds[0], seconds, 1)[0]
                            for side in roots}
         out["workloads"][wl] = entry
     return out

@@ -18,9 +18,10 @@ Randomness is counter-based (Philox) keyed by (seed, chunk index) over
 fixed chunks of CHUNK (4096) paths, and every reduction runs in chunk
 order, so results are bit-identical regardless of how chunks are
 scheduled, and the first k chunks of a run are the same paths at any
-larger n_paths.  The chunks run in parallel, one forked process per
-CPU of the process's affinity mask (_map); under ``taskset -c 0`` they
-run in the calling process, with the same results.
+larger n_paths.  The chunks run in parallel in forked processes (_map):
+one per chunk for maps of up to 2 C + 1 jobs on the C CPUs of the
+process's affinity mask, one per CPU for longer maps.  Under
+``taskset -c 0`` they run in the calling process, with the same results.
 
 The private Monte Carlo core here is shared with edwardsmc: the ordered
 process map _map and the chunk drivers _chunks and _chunk_runs (several
@@ -32,8 +33,13 @@ and the equilibrium draw _equilibrium_draw.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import select
+import signal
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -125,32 +131,26 @@ def _chunk_sizes(n: int):
     return sizes
 
 
+# CPUs in the affinity mask of the importing process; 1 without the mask
+# or without fork, so that every map runs inline
+_CPUS = (len(os.sched_getaffinity(0))
+         if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
+_in_worker = False  # set in every forked worker, so maps never nest
+
+
 def _workers(n_jobs: int) -> int:
-    """Processes _map uses for n_jobs jobs; 1 means inline.
+    """Processes _map starts for n_jobs jobs; 1 means inline.
 
-    One per CPU in the process's affinity mask, at most one per job.
-    Inline inside a multiprocessing child (so pools never nest) and
-    where fork or the affinity mask is unavailable.
+    Maps of at most 2 C + 1 jobs on C = _CPUS CPUs start one process per
+    job and leave the sharing of the CPUs to the OS, so they end after
+    their total work / C rather than after ceil(n_jobs / C) rounds of
+    one job per CPU.  Longer maps start one process per CPU: the rounds
+    then cost little, and every further process its fork.  Inline for a
+    single job, inside a worker and on a single CPU (``taskset -c 0``).
     """
-    if n_jobs < 2 or not hasattr(os, "sched_getaffinity"):
+    if n_jobs < 2 or _CPUS < 2 or _in_worker:
         return 1
-    import multiprocessing
-    if (multiprocessing.parent_process() is not None
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_jobs)
-
-
-_job = None  # the job function, set in each pool worker by _adopt
-
-
-def _adopt(fn):
-    global _job
-    _job = fn
-
-
-def _run_job(args):
-    return _job(*args)
+    return n_jobs if n_jobs <= 2 * _CPUS + 1 else _CPUS
 
 
 def _map(fn, jobs):
@@ -158,21 +158,150 @@ def _map(fn, jobs):
 
     The jobs must be independent (each draws from its own stream), so
     the results, returned in job order, do not depend on the worker
-    count.  Workers are forked, so fn may be a closure: it is inherited,
-    and only the argument tuples and the results are pickled.  An error
-    raised by a job reaches the caller with its type and message.  Every
-    worker has exited when _map returns; each holds one job's working
-    set at a time.
+    count.  Workers are plain forks, so fn may be a closure: it is
+    inherited, and only job indices and results cross the pipes.  The
+    parent hands a worker the next job index whenever it answers, and
+    each worker sends back the pickled result, or the job's exception,
+    through a pipe of its own.
+
+    Raises what the inline loop would raise: the error of the first
+    failing job in job order, with its type, message and attributes, or
+    ChildProcessError for a worker that exits without answering its job.
+    Once a job fails no later job is started.  However _map returns or
+    raises, an interrupt included, every worker has been reaped, and
+    those still running have been killed.
     """
     jobs = list(jobs)
     workers = _workers(len(jobs))
     if workers < 2:
         return [fn(*args) for args in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(fn,)) as pool:
-        return list(pool.map(_run_job, jobs))
+    results, errors = {}, {}
+    todo = list(range(len(jobs)))[::-1]
+    live = {}  # a worker's answer pipe -> [pid, its job pipe, its job or None]
+
+    def hand_out(worker):
+        """Send worker the next job, if any; end every job pipe when none is left.
+
+        Job i is given only after jobs 0 .. i-1, so once a job has failed
+        every job left is a later one, and none is started.
+        """
+        worker[2] = todo.pop() if todo and not errors else None
+        if worker[2] is not None:
+            with contextlib.suppress(BrokenPipeError):  # its end reports it
+                os.write(worker[1], struct.pack("i", worker[2]))
+        if not todo or errors:
+            for w in live.values():
+                if w[1] is not None:
+                    os.close(w[1])
+                    w[1] = None
+
+    try:
+        for _ in range(workers):
+            job_r, job_w = os.pipe()
+            ans_r, ans_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (job_r, job_w, ans_r, ans_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                # keep only its own two ends, so that a worker sees the end
+                # of its job pipe when the parent closes it or has gone
+                for fd in [job_w, ans_r] + [f for r, w in live.items()
+                                            for f in (r, w[1]) if f is not None]:
+                    os.close(fd)
+                _serve(fn, jobs, job_r, ans_w)  # never returns
+            os.close(job_r)
+            os.close(ans_w)
+            live[ans_r] = [pid, job_w, None]
+            hand_out(live[ans_r])
+        first = len(jobs)  # the first failing job so far
+        # wait for every worker to leave, or, once a job has failed, for
+        # the jobs before it
+        while any(not errors or (w[2] is not None and w[2] < first)
+                  for w in live.values()):
+            for r in select.select(list(live), [], [])[0]:
+                worker = live[r]
+                head = _read_exact(r, 8)
+                size = struct.unpack("Q", head)[0] if len(head) == 8 else 0
+                body = _read_exact(r, size)
+                if size and len(body) == size:
+                    ok, value = pickle.loads(body)
+                    if ok:
+                        results[worker[2]] = value
+                    else:  # the worker stops after a failed job
+                        errors[worker[2]] = value
+                    hand_out(worker)
+                    continue
+                # the worker has left, maybe in the middle of an answer
+                pid, job_w, i = live.pop(r)
+                os.close(r)
+                if job_w is not None:
+                    os.close(job_w)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if i is not None:
+                    errors[i] = ChildProcessError(
+                        f"a Monte Carlo worker exited with status {code} "
+                        f"before answering job {i}")
+            first = min(errors, default=first)
+        if errors:
+            raise errors[first]
+        return [results[i] for i in range(len(jobs))]
+    finally:
+        for r, (pid, job_w, _) in live.items():
+            os.close(r)
+            if job_w is not None:
+                os.close(job_w)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """n bytes from fd, or fewer when the writer closes it first."""
+    parts = []
+    while n:
+        part = os.read(fd, min(n, 1 << 20))
+        if not part:
+            break
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+def _serve(fn, jobs, job_r: int, ans_w: int):
+    """A worker: answer each job index read from job_r on ans_w, to its end.
+
+    An answer is (True, result) or (False, the job's exception), pickled
+    behind its 8-byte length; a result that cannot be pickled is answered
+    with the pickling error.  The worker stops after a failed job, and
+    leaves through os._exit, so none of the parent's clean-up runs here:
+    with status 0 after its last answer, 1 when it cannot answer (an
+    error that cannot be pickled either, or a parent that has gone).
+    """
+    global _in_worker
+    _in_worker = True
+    code = 1
+    try:
+        with os.fdopen(ans_w, "wb") as out:
+            while head := _read_exact(job_r, 4):
+                i, = struct.unpack("i", head)
+                try:
+                    answer = (True, fn(*jobs[i]))
+                except BaseException as exc:
+                    answer = (False, exc)
+                try:
+                    payload = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # the answer cannot cross the pipe
+                    answer = (False, exc)
+                    payload = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+                out.write(struct.pack("Q", len(payload)) + payload)
+                out.flush()
+                if not answer[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _chunks(n: int, seed: int, fn):
@@ -215,24 +344,46 @@ def _chunk_runs(runs, calls=()):
 
 
 def _besq_step(g: np.random.Generator, x: np.ndarray, dt: float, drift=None,
-               area=None, quad=None) -> np.ndarray:
+               area=None, quad=None, out=None, work=None) -> np.ndarray:
     """One full-truncation Euler step of dX = 2 sqrt(X) dW + drift dt.
 
     Draws one increment per entry of x from g and floors the new state at
     0.  drift is None (dimension 0), a number (2 for dimension 2) or an
     array (the eigenfunction drift).  When given, area and quad receive
-    the trapezoid increments of int X dv and int X^2 dv in place.
+    the trapezoid increments of int X dv and int X^2 dv in place.  The
+    new state is written to out, which must not overlap x, and work is a
+    (2, *x.shape) scratch array; either is allocated when not given.
+    Every value is rounded as in the expression
+    ``x + 2 sqrt(max(x, 0)) * (N sqrt(dt))``, so the buffers do not change
+    a bit of the result.
     """
-    dw = g.standard_normal(x.shape) * math.sqrt(dt)
-    xn = x + 2.0 * np.sqrt(np.maximum(x, 0.0)) * dw
+    if out is None:
+        out = np.empty_like(x)
+    if work is None:
+        work = np.empty((2,) + x.shape)
+    dw, tmp = work
+    g.standard_normal(out=dw)
+    dw *= math.sqrt(dt)
+    np.maximum(x, 0.0, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp *= 2.0
+    tmp *= dw
+    np.add(x, tmp, out=out)
     if drift is not None:
-        xn += drift * dt
-    np.maximum(xn, 0.0, out=xn)
+        out += np.multiply(drift, dt, out=tmp) if np.ndim(drift) else drift * dt
+    np.maximum(out, 0.0, out=out)
     if area is not None:
-        area += 0.5 * (x + xn) * dt
+        np.add(x, out, out=tmp)
+        tmp *= 0.5
+        tmp *= dt
+        area += tmp
     if quad is not None:
-        quad += 0.5 * (x * x + xn * xn) * dt
-    return xn
+        np.multiply(x, x, out=tmp)
+        tmp += np.multiply(out, out, out=dw)
+        tmp *= 0.5
+        tmp *= dt
+        quad += tmp
+    return out
 
 
 def simulate_besq(dim: int, h0: float, t_end: float, cfg: SimConfig) -> PathFunctionalBatch:
@@ -311,24 +462,36 @@ def _absorbed_run(g: np.random.Generator, h0: np.ndarray, stages):
     per-path (A, Q, alive): A = int X dv and Q = int X^2 dv up to
     absorption, or up to the end of the last stage for the paths still
     alive.
+
+    The state and both functionals of the live paths are kept compacted
+    together: at the end of a stage the absorbed paths' functionals are
+    written to their rows, and one mask drops them from all three.
     """
     m = len(h0)
     area = np.zeros(m)
     quad = np.zeros(m)
     idx = np.flatnonzero(h0 > 0.0)
     x = h0[idx].astype(float)
+    a_live = np.zeros(len(idx))
+    q_live = np.zeros(len(idx))
+    buf = np.empty((4, len(idx)))  # two states in turn, and the step's scratch
+    turn = 0
     for n_steps, dt in stages:
-        if not len(idx):
+        k = len(idx)
+        if not k:
             break
-        a_live = area[idx]
-        q_live = quad[idx]
         for _ in range(n_steps):
-            x = _besq_step(g, x, dt, area=a_live, quad=q_live)
-        area[idx] = a_live
-        quad[idx] = q_live
+            turn ^= 1
+            x = _besq_step(g, x, dt, area=a_live, quad=q_live,
+                           out=buf[turn, :k], work=buf[2:, :k])
         live = x > 0.0
-        idx = idx[live]
-        x = x[live]
+        if not live.all():
+            dead = ~live
+            area[idx[dead]] = a_live[dead]
+            quad[idx[dead]] = q_live[dead]
+            idx, x, a_live, q_live = idx[live], x[live], a_live[live], q_live[live]
+    area[idx] = a_live
+    quad[idx] = q_live
     alive = np.zeros(m, dtype=bool)
     alive[idx] = True
     return area, quad, alive

@@ -31,11 +31,9 @@ import tempfile
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
 from .airy import a_2star as _airy_a_2star
 from .errors import NumericError, SolverError
-from .sturm import eigenvalue, principal_eigen, rho_derivative
+from .sturm import _brentq, eigenvalue, principal_eigen, rho_derivative
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def _find_a_star() -> float:
     f = lambda a: principal_eigen(a).rho
     if f(1.0) > 0.0 or f(3.0) < 0.0:
         raise SolverError("the root of rho is not bracketed by [1, 3]")
-    return brentq(f, 1.0, 3.0, xtol=1e-10, rtol=8.9e-16)
+    return _brentq(f, 1.0, 3.0, xtol=1e-10, rtol=8.9e-16)
 
 
 def compute_constants(use_cache: bool = True) -> ModelConstants:

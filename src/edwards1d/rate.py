@@ -34,11 +34,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import ModelConstants, compute_constants
 from .errors import DomainError, SolverError
-from .sturm import eigenvalue
+from .sturm import _brentq, eigenvalue
 
 
 def _rho(a: float) -> float:
@@ -60,7 +59,7 @@ def _solve_a(k: int, target: float, lo: float, consts: ModelConstants) -> float:
     if f(lo) > 0.0:
         raise SolverError(f"could not bracket {('rho', 'rho1')[k]} = {target:g} "
                           f"above a = {lo:g}")
-    return brentq(f, lo, consts.a_2star, xtol=1e-11, rtol=8.9e-16)
+    return _brentq(f, lo, consts.a_2star, xtol=1e-11, rtol=8.9e-16)
 
 
 def _a_of_b(b: float, consts: ModelConstants) -> float:

@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
-from .errors import DegeneracyError, DomainError, SolverError
+from .errors import DegeneracyError, DomainError, NumericError, SolverError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -348,3 +348,63 @@ def rayleigh_lower_bound(a: float) -> float:
     if not math.isfinite(a) or a >= 0.0:
         raise DomainError(f"rayleigh_lower_bound requires a < 0, got {a!r}")
     return -SQRT2 * math.sqrt(-a) - 1.0 / (-a)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A root of f in [xa, xb]: scipy.optimize.brentq, step for step.
+
+    A port of scipy's brentq.c (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic interpolation or secant
+    steps inside a shrinking bracket, bisection when they do not shrink
+    it fast enough, stopping when half the bracket is below
+    (xtol + rtol |x|) / 2.  It makes the same evaluations in the same
+    order, so it returns the same double, without importing
+    scipy.optimize.  Raises SolverError when f(xa) and f(xb) have the
+    same sign or maxiter steps do not converge, NumericError when f
+    returns NaN.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericError(f"f({x!r}) is NaN; the root search cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SolverError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise SolverError(f"no root within {maxiter} steps; last iterate {xcur!r}")

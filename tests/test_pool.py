@@ -1,15 +1,19 @@
 """The ordered process map: results independent of the worker count.
 
-Every case runs once inline (one worker) and once over two forked
-workers, and the two results must be bit-identical; after each pooled
-call no child process may be left running.  Errors must cross the pipe
-with their type, message and attributes.
+Every case runs once inline (one worker) and over two, three and five
+forked workers, and the results must be bit-identical; after each pooled
+call no child process may be left, running or unreaped.  Errors must
+cross the pipe with their type, message and attributes, and a failed job,
+a dead worker or an interrupt must leave no child behind.
 """
 
 import dataclasses
 import inspect
 import multiprocessing
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -50,10 +54,18 @@ def _same(a, b):
     return np.array_equal(a, b, equal_nan=np.asarray(a).dtype.kind == "f")
 
 
+def _no_children():
+    # multiprocessing.active_children() sees only its own processes; a
+    # plain fork that is still running or unreaped shows in waitpid
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _with_workers(monkeypatch, k, fn):
     monkeypatch.setattr(besselsim, "_workers", lambda n_jobs: min(k, n_jobs))
     out = fn()
-    assert multiprocessing.active_children() == []
+    _no_children()
     return out
 
 
@@ -81,17 +93,59 @@ CASES = {
 }
 
 
+_INLINE = {}  # each case's inline result, computed once
+
+
+def _inline(name, monkeypatch):
+    if name not in _INLINE:
+        _INLINE[name] = _with_workers(monkeypatch, 1, CASES[name])
+    return _INLINE[name]
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_pooled_equals_inline(name, monkeypatch):
-    inline = _with_workers(monkeypatch, 1, CASES[name])
     pooled = _with_workers(monkeypatch, 2, CASES[name])
-    assert _same(inline, pooled)
+    assert _same(_inline(name, monkeypatch), pooled)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("name", CASES)
+def test_pooled_equals_inline_at_more_workers(name, k, monkeypatch):
+    pooled = _with_workers(monkeypatch, k, CASES[name])
+    assert _same(_inline(name, monkeypatch), pooled)
 
 
 def test_workers_follow_the_jobs():
     assert besselsim._workers(0) == 1
     assert besselsim._workers(1) == 1
     assert 1 <= besselsim._workers(64) <= 64
+
+
+@pytest.mark.parametrize("n_jobs, workers", [(1, 1), (5, 5), (6, 2), (64, 2)])
+def test_workers_rule_on_two_cpus(n_jobs, workers, monkeypatch):
+    # one process per job up to 2 C + 1 jobs, then one per CPU
+    monkeypatch.setattr(besselsim, "_CPUS", 2)
+    assert besselsim._workers(n_jobs) == workers
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 5, 64])
+def test_one_cpu_runs_inline(n_jobs, monkeypatch):
+    monkeypatch.setattr(besselsim, "_CPUS", 1)
+    assert besselsim._workers(n_jobs) == 1
+
+
+def _pids(i):
+    """This worker's pid and the pids that run a map it issues."""
+    return os.getpid(), besselsim._map(os.getpid, [(), (), ()])
+
+
+def test_map_inside_a_worker_runs_inline(monkeypatch):
+    monkeypatch.setattr(besselsim, "_CPUS", 2)
+    out = besselsim._map(_pids, [(0,), (1,)])
+    _no_children()
+    workers = {pid for pid, _ in out}
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert all(inner == [pid] * 3 for pid, inner in out)
 
 
 def _edwards_errors():
@@ -121,7 +175,7 @@ def test_job_error_reaches_caller(monkeypatch):
                       lambda: besselsim._map(_fail_second, [(0,), (1,), (2,)]))
     assert str(exc.value) == "job 1 cannot meet its contract"
     assert exc.value.bound == 0.25
-    assert multiprocessing.active_children() == []
+    _no_children()
 
 
 def test_island_error_reaches_caller(monkeypatch):
@@ -137,3 +191,68 @@ def test_island_error_reaches_caller(monkeypatch):
     assert type(raised[0]) is type(raised[1])
     assert str(raised[0]) == str(raised[1])
     assert "left the occupancy window" in str(raised[1])
+
+
+def _exit_second(i):
+    if i == 1:
+        os._exit(3)  # leaves without answering, as a crashed worker would
+    return i
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dead_worker_raises(k, monkeypatch):
+    with pytest.raises(ChildProcessError, match="status 3"):
+        _with_workers(monkeypatch, k,
+                      lambda: besselsim._map(_exit_second, [(i,) for i in range(4)]))
+    _no_children()
+
+
+def _sleep(i):
+    time.sleep(60.0)
+
+
+def test_interrupt_kills_the_workers(monkeypatch):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            _with_workers(monkeypatch, 3,
+                          lambda: besselsim._map(_sleep, [(i,) for i in range(3)]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - t0 < 30.0
+    _no_children()
+
+
+def _two_failures(i):
+    if i == 1:
+        time.sleep(0.5)  # fails after job 3 has failed
+        raise errors.DomainError("job 1 failed")
+    if i == 3:
+        raise errors.DomainError("job 3 failed")
+    return i
+
+
+def test_first_failing_job_in_job_order_is_raised(monkeypatch):
+    # as in the inline loop, whichever failure reaches the parent first
+    with pytest.raises(errors.DomainError, match="job 1 failed"):
+        _with_workers(monkeypatch, 5,
+                      lambda: besselsim._map(_two_failures, [(i,) for i in range(5)]))
+    _no_children()
+
+
+def _unpicklable(i):
+    return lambda: i
+
+
+def test_unpicklable_answer_raises(monkeypatch):
+    # the pickling error takes the result's place
+    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+        _with_workers(monkeypatch, 2,
+                      lambda: besselsim._map(_unpicklable, [(0,), (1,)]))
+    _no_children()

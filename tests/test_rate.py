@@ -206,3 +206,82 @@ def test_domain_errors():
         rate_I_scaled(1.0, 0.0, consts=C)
     with pytest.raises(DomainError):
         rate_derivative(float("inf"), consts=C)
+
+
+def _against_scipy(monkeypatch, module):
+    """Route module._brentq through the port and scipy's brentq; record both."""
+    from scipy.optimize import brentq
+
+    pairs = []
+
+    def both(f, lo, hi, xtol, rtol):
+        pairs.append((sturm._brentq(f, lo, hi, xtol=xtol, rtol=rtol),
+                      brentq(f, lo, hi, xtol=xtol, rtol=rtol)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(module, "_brentq", both)
+    return pairs
+
+
+def test_brentq_port_equals_scipy_on_rate_brackets(monkeypatch):
+    pairs = _against_scipy(monkeypatch, rate)
+    rng = np.random.default_rng(11)
+    for b in rng.uniform(C.b_2star * 1.001, 12.0, 30):
+        rate_I(float(b), consts=C)
+    for mu in rng.uniform(-C.rho_2star + 1e-3, 10.0, 30):
+        lambda_plus(float(mu), consts=C)
+    assert len(pairs) == 60
+    assert all(port == ref for port, ref in pairs)
+
+
+def test_brentq_port_equals_scipy_on_a_star(monkeypatch):
+    from edwards1d import constants
+
+    pairs = _against_scipy(monkeypatch, constants)
+    assert constants._find_a_star() == C.a_star
+    assert len(pairs) == 1 and pairs[0][0] == pairs[0][1]
+
+
+SYNTHETIC = [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+    (lambda x: math.atan(x - 0.3) * 1e-8, -20.0, 40.0),
+    (lambda x: (x - 1.0) ** 5, 0.0, 3.7),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: 1.0 if x > 0.2 else -1.0, -1.0, 1.0),
+]
+
+
+def _outcome(solver, *args, **kw):
+    try:
+        return solver(*args, **kw)
+    except (ValueError, RuntimeError):  # the port's errors are RuntimeErrors
+        return "raises"
+
+
+@pytest.mark.parametrize("k", range(len(SYNTHETIC)))
+@pytest.mark.parametrize("xtol, rtol", [(2e-12, 8.9e-16), (1e-4, 1e-10)])
+def test_brentq_port_equals_scipy_on_synthetic(k, xtol, rtol):
+    # the same root to the bit, or both raise ((x - 1)^5 does not converge
+    # in 100 steps at the tight tolerance)
+    from scipy.optimize import brentq
+
+    f, lo, hi = SYNTHETIC[k]
+    assert (_outcome(sturm._brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+            == _outcome(brentq, f, lo, hi, xtol=xtol, rtol=rtol))
+
+
+@pytest.mark.parametrize("f, lo, hi, maxiter", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, 100),           # no sign change
+    (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 100),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 2),  # too few steps
+])
+def test_brentq_port_raises_where_scipy_raises(f, lo, hi, maxiter):
+    from scipy.optimize import brentq
+
+    assert _outcome(brentq, f, lo, hi, xtol=2e-12, rtol=8.9e-16,
+                    maxiter=maxiter) == "raises"
+    with pytest.raises((SolverError, sturm.NumericError)):
+        sturm._brentq(f, lo, hi, xtol=2e-12, rtol=8.9e-16, maxiter=maxiter)
