@@ -20,8 +20,11 @@ order, so results are bit-identical regardless of how chunks are
 scheduled, and the first k chunks of a run are the same paths at any
 larger n_paths.  The chunks run in parallel in forked processes (_map):
 one per chunk for maps of up to 2 C + 1 jobs on the C CPUs of the
-process's affinity mask, one per CPU for longer maps.  Under
-``taskset -c 0`` they run in the calling process, with the same results.
+process's affinity mask, one per CPU for longer maps.  Each worker has
+one duplex multiprocessing.connection channel to the parent: job indices
+go out on it, and each job's pickled result or exception comes back.
+Under ``taskset -c 0`` they run in the calling process, with the same
+results.
 
 The private Monte Carlo core here is shared with edwardsmc: the ordered
 process map _map and the chunk drivers _chunks and _chunk_runs (several
@@ -36,10 +39,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import pickle
-import select
 import signal
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -159,146 +159,113 @@ def _map(fn, jobs):
     The jobs must be independent (each draws from its own stream), so
     the results, returned in job order, do not depend on the worker
     count.  Workers are plain forks, so fn may be a closure: it is
-    inherited, and only job indices and results cross the pipes.  The
-    parent hands a worker the next job index whenever it answers, and
-    each worker sends back the pickled result, or the job's exception,
-    through a pipe of its own.
+    inherited, and only job indices and answers cross the channels.
+    Each worker has one duplex multiprocessing.connection channel, which
+    frames and pickles every message and reports a closed peer.  The
+    parent sends a worker the next job index whenever it answers, and
+    None when no job is left or a job has failed.
 
     Raises what the inline loop would raise: the error of the first
     failing job in job order, with its type, message and attributes, or
-    ChildProcessError for a worker that exits without answering its job.
-    Once a job fails no later job is started.  However _map returns or
-    raises, an interrupt included, every worker has been reaped, and
-    those still running have been killed.
+    ChildProcessError for a worker that exits without answering its job,
+    also in the middle of an answer.  Once a job fails no later job is
+    started.  However _map returns or raises, an interrupt included,
+    every worker has been reaped, and those still running have been
+    killed.
     """
     jobs = list(jobs)
     workers = _workers(len(jobs))
     if workers < 2:
         return [fn(*args) for args in jobs]
+    # imported here, not with the module: the deterministic layers never
+    # fork, and their set-up should not pay for multiprocessing.connection
+    from multiprocessing.connection import Pipe, wait
     results, errors = {}, {}
     todo = list(range(len(jobs)))[::-1]
-    live = {}  # a worker's answer pipe -> [pid, its job pipe, its job or None]
+    live = {}  # the parent's end of a worker's channel -> [pid, its job or None]
 
-    def hand_out(worker):
-        """Send worker the next job, if any; end every job pipe when none is left.
+    def hand_out(conn):
+        """Send the worker on conn the next job, or None when none is left.
 
         Job i is given only after jobs 0 .. i-1, so once a job has failed
         every job left is a later one, and none is started.
         """
-        worker[2] = todo.pop() if todo and not errors else None
-        if worker[2] is not None:
-            with contextlib.suppress(BrokenPipeError):  # its end reports it
-                os.write(worker[1], struct.pack("i", worker[2]))
-        if not todo or errors:
-            for w in live.values():
-                if w[1] is not None:
-                    os.close(w[1])
-                    w[1] = None
+        live[conn][1] = todo.pop() if todo and not errors else None
+        with contextlib.suppress(BrokenPipeError):  # its end reports it
+            conn.send(live[conn][1])
 
     try:
         for _ in range(workers):
-            job_r, job_w = os.pipe()
-            ans_r, ans_w = os.pipe()
+            ours, theirs = Pipe()
             try:
                 pid = os.fork()
             except OSError:
-                for fd in (job_r, job_w, ans_r, ans_w):
-                    os.close(fd)
+                ours.close()
+                theirs.close()
                 raise
             if pid == 0:
-                # keep only its own two ends, so that a worker sees the end
-                # of its job pipe when the parent closes it or has gone
-                for fd in [job_w, ans_r] + [f for r, w in live.items()
-                                            for f in (r, w[1]) if f is not None]:
-                    os.close(fd)
-                _serve(fn, jobs, job_r, ans_w)  # never returns
-            os.close(job_r)
-            os.close(ans_w)
-            live[ans_r] = [pid, job_w, None]
-            hand_out(live[ans_r])
+                # keep only its own end, so that a worker sees the end of
+                # its channel when the parent has gone
+                for conn in [ours, *live]:
+                    conn.close()
+                _serve(fn, jobs, theirs)  # never returns
+            theirs.close()
+            live[ours] = [pid, None]
+            hand_out(ours)
         first = len(jobs)  # the first failing job so far
         # wait for every worker to leave, or, once a job has failed, for
         # the jobs before it
-        while any(not errors or (w[2] is not None and w[2] < first)
-                  for w in live.values()):
-            for r in select.select(list(live), [], [])[0]:
-                worker = live[r]
-                head = _read_exact(r, 8)
-                size = struct.unpack("Q", head)[0] if len(head) == 8 else 0
-                body = _read_exact(r, size)
-                if size and len(body) == size:
-                    ok, value = pickle.loads(body)
-                    if ok:
-                        results[worker[2]] = value
-                    else:  # the worker stops after a failed job
-                        errors[worker[2]] = value
-                    hand_out(worker)
+        while any(not errors or (i is not None and i < first)
+                  for _, i in live.values()):
+            for conn in wait(list(live)):
+                try:
+                    ok, value = conn.recv()
+                except (EOFError, OSError):  # the worker has left, maybe mid-answer
+                    pid, i = live.pop(conn)
+                    conn.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if i is not None:
+                        errors[i] = ChildProcessError(
+                            f"a Monte Carlo worker exited with status {code} "
+                            f"before answering job {i}")
                     continue
-                # the worker has left, maybe in the middle of an answer
-                pid, job_w, i = live.pop(r)
-                os.close(r)
-                if job_w is not None:
-                    os.close(job_w)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if i is not None:
-                    errors[i] = ChildProcessError(
-                        f"a Monte Carlo worker exited with status {code} "
-                        f"before answering job {i}")
+                (results if ok else errors)[live[conn][1]] = value
+                hand_out(conn)
             first = min(errors, default=first)
         if errors:
             raise errors[first]
         return [results[i] for i in range(len(jobs))]
     finally:
-        for r, (pid, job_w, _) in live.items():
-            os.close(r)
-            if job_w is not None:
-                os.close(job_w)
+        for conn, (pid, _) in live.items():
+            conn.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _read_exact(fd: int, n: int) -> bytes:
-    """n bytes from fd, or fewer when the writer closes it first."""
-    parts = []
-    while n:
-        part = os.read(fd, min(n, 1 << 20))
-        if not part:
-            break
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
+def _serve(fn, jobs, conn):
+    """A worker: answer each job index received on conn, until None.
 
-
-def _serve(fn, jobs, job_r: int, ans_w: int):
-    """A worker: answer each job index read from job_r on ans_w, to its end.
-
-    An answer is (True, result) or (False, the job's exception), pickled
-    behind its 8-byte length; a result that cannot be pickled is answered
-    with the pickling error.  The worker stops after a failed job, and
-    leaves through os._exit, so none of the parent's clean-up runs here:
-    with status 0 after its last answer, 1 when it cannot answer (an
-    error that cannot be pickled either, or a parent that has gone).
+    An answer is (True, result) or (False, the job's exception).
+    Connection.send pickles the whole answer before it writes any of it,
+    so a result that cannot be pickled is answered with the pickling
+    error.  The worker leaves through os._exit, so none of the parent's
+    clean-up runs here: with status 0 after None, 1 when it cannot
+    answer (an error that cannot be pickled either, or a parent that
+    has gone).
     """
     global _in_worker
     _in_worker = True
     code = 1
     try:
-        with os.fdopen(ans_w, "wb") as out:
-            while head := _read_exact(job_r, 4):
-                i, = struct.unpack("i", head)
-                try:
-                    answer = (True, fn(*jobs[i]))
-                except BaseException as exc:
-                    answer = (False, exc)
-                try:
-                    payload = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
-                except Exception as exc:  # the answer cannot cross the pipe
-                    answer = (False, exc)
-                    payload = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
-                out.write(struct.pack("Q", len(payload)) + payload)
-                out.flush()
-                if not answer[0]:
-                    break
+        while (i := conn.recv()) is not None:
+            try:
+                answer = (True, fn(*jobs[i]))
+            except BaseException as exc:
+                answer = (False, exc)
+            try:
+                conn.send(answer)
+            except Exception as exc:  # the answer cannot be pickled
+                conn.send((False, exc))
         code = 0
     finally:
         os._exit(code)
@@ -363,10 +330,11 @@ def _besq_step(g: np.random.Generator, x: np.ndarray, dt: float, drift=None,
         work = np.empty((2,) + x.shape)
     dw, tmp = work
     g.standard_normal(out=dw)
-    dw *= math.sqrt(dt)
+    # the factors 2 and 0.5 are powers of two, so moving them between
+    # products is exact: (2 s) (N c) == s (N (2 c)) and (y 0.5) dt == y (0.5 dt)
+    dw *= 2.0 * math.sqrt(dt)
     np.maximum(x, 0.0, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp *= 2.0
     tmp *= dw
     np.add(x, tmp, out=out)
     if drift is not None:
@@ -374,14 +342,12 @@ def _besq_step(g: np.random.Generator, x: np.ndarray, dt: float, drift=None,
     np.maximum(out, 0.0, out=out)
     if area is not None:
         np.add(x, out, out=tmp)
-        tmp *= 0.5
-        tmp *= dt
+        tmp *= 0.5 * dt
         area += tmp
     if quad is not None:
         np.multiply(x, x, out=tmp)
         tmp += np.multiply(out, out, out=dw)
-        tmp *= 0.5
-        tmp *= dt
+        tmp *= 0.5 * dt
         quad += tmp
     return out
 

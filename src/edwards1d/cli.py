@@ -33,6 +33,12 @@ ENV_SEED = "EDWARDS1D_SEED"
 
 Z_GATE = 4.0
 
+# the most points a curve or profile grid may have: a mistyped --step or
+# --npts is refused rather than exhausting memory.  w-profile holds an Airy
+# matrix of points x terms, about 36 KB per point at K = 200 and t = 0.2,
+# so 10^4 points peak near 0.4 GB; rate-curve takes about 2.5 ms per point
+MAX_GRID_POINTS = 10 ** 4
+
 
 def _jsonable(v):
     return v.item() if isinstance(v, np.generic) else v
@@ -168,23 +174,34 @@ def _cmd_eigen(args):
     return header, [[args.a, sol.rho, rho1, rho2, res]], False
 
 
+def _check_points(points):
+    """Refuse a grid of more than MAX_GRID_POINTS points before it is built."""
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"the grid would have {points:,.0f} points; "
+                          f"at most {MAX_GRID_POINTS:,} are allowed")
+
+
 def _grid(lo: float, hi: float, step: float):
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise DomainError("grid bounds and step must be finite")
     if step <= 0.0 or hi < lo:
         raise DomainError("need step > 0 and max >= min")
-    count = int(round((hi - lo) / step))
+    count = (hi - lo) / step  # inf when a tiny step overflows it
+    if count < MAX_GRID_POINTS:
+        count = int(round(count))
+    _check_points(count + 1)
     return [lo + i * step for i in range(count + 1)]
 
 
 def _cmd_rate_curve(args):
-    consts = constants.compute_constants()
+    grid = _grid(args.bmin, args.bmax, args.step)
     beta = args.beta
     if beta <= 0.0 or not math.isfinite(beta):
         raise DomainError("--beta must be positive and finite")
+    consts = constants.compute_constants()
     scale = beta ** (1.0 / 3.0)
     rows = []
-    for b in _grid(args.bmin, args.bmax, args.step):
+    for b in grid:
         b_unit = b / scale
         val = rate.rate_I_scaled(b, beta, consts=consts)
         slope = scale * rate.rate_derivative(b_unit, consts=consts)
@@ -194,9 +211,10 @@ def _cmd_rate_curve(args):
 
 
 def _cmd_mgf_curve(args):
+    grid = _grid(args.mumin, args.mumax, args.step)
     consts = constants.compute_constants()
     rows = []
-    for mu in _grid(args.mumin, args.mumax, args.step):
+    for mu in grid:
         val = rate.lambda_plus(mu, consts=consts)
         branch = "boundary" if mu <= -consts.rho_2star else "interior"
         rows.append([mu, val, branch])
@@ -206,6 +224,7 @@ def _cmd_mgf_curve(args):
 def _cmd_w_profile(args):
     if args.npts < 2:
         raise DomainError("--npts must be at least 2")
+    _check_points(args.npts)
     hs = np.linspace(0.0, args.hmax, args.npts)
     ws = spectral.w_eval(hs, args.t, K=args.K)
     return ["h", "w"], [[h, w] for h, w in zip(hs, ws)], False

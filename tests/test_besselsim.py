@@ -16,6 +16,8 @@ from edwards1d.besselsim import (
     McEstimate,
     PathFunctionalSample,
     SimConfig,
+    _besq_step,
+    _rng,
     equilibrium_sampler,
     estimate_w,
     estimate_y,
@@ -68,6 +70,33 @@ class TestChunkIndependence:
         for field in ("x", "x0", "log_weight"):
             assert np.array_equal(getattr(big, field)[:CHUNK],
                                   getattr(one, field)), field
+
+
+class TestBesqStep:
+    """The buffered step rounds every value as the plain expression does."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("drift", [None, "two", "array"])
+    @pytest.mark.parametrize("m, dt", [(1, 1e-3), (37, 0.0016), (4096, 1 / 3),
+                                       (5000, 0.0123)])
+    def test_equals_the_unbuffered_expression(self, m, dt, drift, buffered):
+        rng = np.random.default_rng(m)
+        x = rng.exponential(1.0, m)
+        x[::7] = 0.0
+        d = {None: None, "two": 2.0, "array": rng.normal(size=m)}[drift]
+        area0, quad0 = rng.random(m), rng.random(m)
+        area, quad = area0.copy(), quad0.copy()
+        bufs = dict(out=np.empty(m), work=np.empty((2, m))) if buffered else {}
+        got = _besq_step(_rng(11, m), x, dt, d, area, quad, **bufs)
+
+        n = _rng(11, m).standard_normal(m)
+        want = x + 2.0 * np.sqrt(np.maximum(x, 0.0)) * (n * math.sqrt(dt))
+        if d is not None:
+            want = want + d * dt
+        want = np.maximum(want, 0.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(area, area0 + (x + want) * 0.5 * dt)
+        assert np.array_equal(quad, quad0 + (x * x + want * want) * 0.5 * dt)
 
 
 class TestSimulateBesq:

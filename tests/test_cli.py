@@ -126,6 +126,17 @@ class TestCurves:
         rc, _, err = run_cli(capsys, "rate-curve", "--step", "-0.1")
         assert rc == 2 and "step" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("rate-curve", "--step", "1e-9"),
+        ("mgf-curve", "--step", "1e-320"),
+        ("w-profile", "--t", "0.8", "--npts", "10000000000"),
+    ])
+    def test_grid_size_is_capped(self, capsys, argv):
+        # refused before any grid point is allocated
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert f"{cli.MAX_GRID_POINTS:,}" in err
+
 
 class TestSpectralCommands:
     def test_w_profile(self, capsys):

@@ -3,16 +3,19 @@
 Every case runs once inline (one worker) and over two, three and five
 forked workers, and the results must be bit-identical; after each pooled
 call no child process may be left, running or unreaped.  Errors must
-cross the pipe with their type, message and attributes, and a failed job,
-a dead worker or an interrupt must leave no child behind.
+cross a worker's channel with their type, message and attributes, and a
+failed job, a dead worker (also one that dies in the middle of an
+answer) or an interrupt must leave no child behind.
 """
 
 import dataclasses
 import inspect
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
+import struct
 import time
 
 import numpy as np
@@ -255,4 +258,22 @@ def test_unpicklable_answer_raises(monkeypatch):
     with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
         _with_workers(monkeypatch, 2,
                       lambda: besselsim._map(_unpicklable, [(0,), (1,)]))
+    _no_children()
+
+
+def test_worker_dying_mid_answer_raises(monkeypatch):
+    # a worker writes the header and half of its answer's frame, then exits
+    send_bytes = multiprocessing.connection.Connection._send_bytes
+
+    def half_then_exit(self, buf):
+        if not besselsim._in_worker:
+            return send_bytes(self, buf)
+        self._send(struct.pack("!i", len(buf)) + bytes(buf[:len(buf) // 2]))
+        os._exit(7)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "_send_bytes",
+                        half_then_exit)
+    with pytest.raises(ChildProcessError, match="status 7"):
+        _with_workers(monkeypatch, 2,
+                      lambda: besselsim._map(abs, [(-i,) for i in range(4)]))
     _no_children()
