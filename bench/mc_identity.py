@@ -14,7 +14,9 @@ numeric fields of its CLI output, or with "structure" when the two results
 differ in anything but the values of those numbers.  The cases are the
 pinned configurations of the Monte Carlo tests (``scaling_collapse`` and
 ``rate_vs_horizon`` among them), the Monte Carlo CLI defaults and the
-benchmark's Ray-Knight op, plus the rate layer: ``constants``, ``rate-curve``
+benchmark's Ray-Knight op, with that op's swap check alone
+(``rk_swap_only``, the one selection whose acceptance comes from the
+plain composite run), plus the rate layer: ``constants``, ``rate-curve``
 and ``mgf-curve`` at their defaults and ``legendre_check`` at the
 benchmark's b = 1.25, 1.5 and 2.0, and the deterministic solvers:
 ``principal_eigen`` at a = -1e4, -3, 0, 2 and 60, ``rho_derivative(2.0)``,
@@ -98,6 +100,8 @@ def cases():
     rk_cfg = poly(2.0, 30_000, 19)
     rk_all = ("unconditional", "swap", "bookkeeping")
     c = {
+        "rk_swap_only": lambda: rayknight_consistency(
+            1.0, poly(2.0, 8000, 0), n_quintuples=8, checks=("swap",)),
         "besq_dim0": lambda: simulate_besq(
             0, 1.0, 0.5, sim(dt=1e-3, n_paths=n_odd, seed=3)),
         "besq_dim2": lambda: simulate_besq(

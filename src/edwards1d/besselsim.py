@@ -695,7 +695,8 @@ def simulate_tilted(a: float, h0, t_end: float, cfg: SimConfig,
     lw_final = lw_out[:, -1]
     shifted = np.exp(lw_final - lw_final.max())
     ess = float(np.sum(shifted) ** 2 / np.sum(shifted ** 2))
-    if ess < 0.01 * n:
+    # not >=, so that a nan (an infinite log-weight) fails
+    if not ess >= 0.01 * n:
         raise DegeneracyError(
             f"effective sample size {ess:.1f} below 1% of n={n}")
     return TiltedBatch(times=times, x=x_out, x0=x0_out, log_weight=lw_out,

@@ -18,11 +18,14 @@ the Laguerre-Galerkin solve behind the rate layer.
 
 All six are fixed by the package's code, so the computed values are
 memoized in a small CSV cache keyed by a fingerprint of the package's
-source files.  Writes are atomic (temp file then rename).
+source files.  Writes are atomic (temp file then rename) and best effort:
+a cache that cannot be read or written is skipped, and the constants are
+computed afresh.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
@@ -99,10 +102,11 @@ def _read_cache(path: str, fp: str) -> ModelConstants | None:
 
 def _write_cache(path: str, fp: str, consts: ModelConstants) -> None:
     d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d or ".", suffix=".tmp")
+    tmp = None
     try:
+        if d:
+            os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d or ".", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["fingerprint", fp])
@@ -110,10 +114,9 @@ def _write_cache(path: str, fp: str, consts: ModelConstants) -> None:
                 w.writerow([key, format(val, ".17g")])
         os.replace(tmp, path)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _find_a_star() -> float:

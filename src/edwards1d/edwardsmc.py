@@ -260,7 +260,8 @@ def _polymer_estimate(cfg: PolymerConfig, h: np.ndarray,
     mean_w = float(np.mean(w))
     se_w = float(np.std(w) / math.sqrt(n))
     ess = float(np.sum(w) ** 2 / np.sum(w * w))
-    if ess < 1e-3 * n:
+    # not >=, so that a nan (every weight, or its square, underflowed) fails
+    if not ess >= 1e-3 * n:
         raise DegeneracyError(
             f"effective sample size {ess:.1f} below 0.1% of n = {n}; "
             "reduce T or beta, or use sample_polymer_sequential")
@@ -614,66 +615,59 @@ def _besq2_profiles(g: np.random.Generator, h_start: np.ndarray,
     x = np.repeat(np.asarray(h_start, dtype=float)[order, None], n_rep, axis=1)
     a = np.zeros((nq, n_rep))
     q = np.zeros((nq, n_rep))
-    xy = np.empty((nq, n_rep))
     m = nq
     k = 0
     while m > 0:
         x[:m] = _besq_step(g, x[:m], dt, 2.0, a[:m], q[:m])
         k += 1
-        m_new = int(np.searchsorted(-steps_sorted, -k, side="left"))
-        # rows m_new..m-1 have finished at this step: record their state
-        if m_new < m:
-            xy[m_new:m] = x[m_new:m]
-        m = m_new
+        # rows from here on have finished and keep their last state in x
+        m = int(np.searchsorted(-steps_sorted, -k, side="left"))
     inv = np.argsort(order)
-    return xy[inv], a[inv], q[inv]
+    return x[inv], a[inv], q[inv]
 
 
 @dataclass(frozen=True)
 class RayKnightReport:
-    """Results of the profile-representation consistency checks."""
-    direct_mean: float
-    direct_se: float
-    composite_mean: float
-    composite_se: float
-    z_unconditional: float
-    z_swap_mean: float
-    z_swap_var: float
-    lhs: float
-    lhs_se: float
-    rhs: float
-    rhs_se: float
-    z_bookkeeping: float
-    acceptance: float
+    """Results of the profile-representation consistency checks.
+
+    The fields of a check that was not selected keep their default, nan.
+    """
+    direct_mean: float = math.nan
+    direct_se: float = math.nan
+    composite_mean: float = math.nan
+    composite_se: float = math.nan
+    z_unconditional: float = math.nan
+    z_swap_mean: float = math.nan
+    z_swap_var: float = math.nan
+    lhs: float = math.nan
+    lhs_se: float = math.nan
+    rhs: float = math.nan
+    rhs_se: float = math.nan
+    z_bookkeeping: float = math.nan
+    acceptance: float = math.nan
 
 
 def _composite_h(g: np.random.Generator, quintuples, cfg: PolymerConfig,
                  swap: bool, rel_window: float = 0.3, n_rep: int = 3000):
     """Mean H for each quintuple from the three-piece representation.
 
-    Pieces are conditioned by rejection into windows around the recorded
+    quintuples holds one (y, h1, h2, t1, t2) row per draw, as an (n, 5)
+    array or a sequence of 5-tuples; rows with y <= 0 or no time left for
+    the middle piece are skipped.  Pieces are conditioned by rejection into windows around the recorded
     values: the outer profiles on their terminal areas, the bridge on
     its terminal level and area.  Returns per-quintuple estimates and
     the overall acceptance rate.  All quintuples are simulated in one
     batch per piece kind.
     """
-    qs = []
-    for (y, h1, h2, t1, t2) in quintuples:
-        if swap:
-            h1, h2, t1, t2 = h2, h1, t2, t1
-        s_mid = cfg.T - t1 - t2
-        if s_mid > 0.0 and y > 0.0:
-            qs.append((float(y), float(h1), float(h2),
-                       float(t1), float(t2), float(s_mid)))
-    if not qs:
+    y, h1, h2, t1, t2 = np.asarray(quintuples, dtype=float).reshape(-1, 5).T
+    if swap:
+        h1, h2, t1, t2 = h2, h1, t2, t1
+    s_mid = cfg.T - t1 - t2
+    keep = (s_mid > 0.0) & (y > 0.0)
+    if not keep.any():
         return np.array([]), 0.0
-    nq = len(qs)
-    y = np.array([r[0] for r in qs])
-    h1 = np.array([r[1] for r in qs])
-    h2 = np.array([r[2] for r in qs])
-    t1 = np.array([r[3] for r in qs])
-    t2 = np.array([r[4] for r in qs])
-    s_mid = np.array([r[5] for r in qs])
+    y, h1, h2, t1, t2, s_mid = (v[keep] for v in (y, h1, h2, t1, t2, s_mid))
+    nq = len(y)
 
     # outer pieces for all quintuples in a single absorbed batch
     h_starts = np.concatenate([np.repeat(h1, n_rep), np.repeat(h2, n_rep)])
@@ -684,8 +678,6 @@ def _composite_h(g: np.random.Generator, quintuples, cfg: PolymerConfig,
     targets = np.stack([t1, t2])
     win = rel_window * (targets + 0.1)
     acc_outer = (~alive) & (np.abs(a - targets[:, :, None]) <= win[:, :, None])
-    n_acc = int(np.count_nonzero(acc_outer))
-    n_tot = 2 * nq * n_rep
     counts_outer = acc_outer.sum(axis=2)
     sums_outer = np.sum(q * acc_outer, axis=2)
 
@@ -693,8 +685,6 @@ def _composite_h(g: np.random.Generator, quintuples, cfg: PolymerConfig,
     xy, ab, qb = _besq2_profiles(g, h1, y, cfg.dt, n_rep)
     acc_b = ((np.abs(xy - h2[:, None]) <= rel_window * (h2[:, None] + 0.5))
              & (np.abs(ab - s_mid[:, None]) <= rel_window * (s_mid[:, None] + 0.1)))
-    n_acc += int(np.count_nonzero(acc_b))
-    n_tot += nq * n_rep
     counts_b = acc_b.sum(axis=1)
     sums_b = np.sum(qb * acc_b, axis=1)
 
@@ -702,10 +692,12 @@ def _composite_h(g: np.random.Generator, quintuples, cfg: PolymerConfig,
     out = (sums_outer[0, ok] / counts_outer[0, ok]
            + sums_outer[1, ok] / counts_outer[1, ok]
            + sums_b[ok] / counts_b[ok])
-    if n_tot and n_acc / n_tot < 1e-4:
+    n_acc = int(np.count_nonzero(acc_outer) + np.count_nonzero(acc_b))
+    acc = n_acc / (3 * nq * n_rep)
+    if acc < 1e-4:
         raise ConditioningError(
-            f"acceptance rate {n_acc / n_tot:.2e} below 1e-4; widen the bins")
-    return out, (n_acc / n_tot if n_tot else 0.0)
+            f"acceptance rate {acc:.2e} below 1e-4; widen the bins")
+    return out, acc
 
 
 def rayknight_consistency(a: float, cfg: PolymerConfig,
@@ -749,19 +741,13 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         raise DomainError(f"the unconditional and swap checks need "
                           f"n_quintuples >= 3, got {n_quintuples!r}")
     sol = principal_eigen(a)
-    nan = math.nan
-
-    direct_mean = direct_se = comp_mean = comp_se = z_unc = nan
-    z_swap_mean = z_swap_var = nan
-    lhs = lhs_se = rhs = rhs_se = z_book = nan
-    acc_rate = nan
+    rep = {}
 
     if need_quint:
         qcfg = PolymerConfig(T=cfg.T, beta=cfg.beta, dt=cfg.dt, bin=cfg.bin,
                              n_paths=n_quintuples, seed=cfg.seed + 1)
         pos = _flip_to_positive(_positions(_rng(qcfg.seed, 0), n_quintuples, qcfg))
-        y, h1, h2, t1, t2 = _quintuple(pos, qcfg)
-        quintuples = list(zip(y, h1, h2, t1, t2))
+        quintuples = np.stack(_quintuple(pos, qcfg), axis=1)
 
     # every stream is one job of a single process map: the right-hand
     # side of the bookkeeping identity (the longest job), the composite
@@ -783,24 +769,24 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
     comps = dict(zip(calls, out[len(direct):]))
     if direct:
         h_all, endp = out[0]
-        direct_mean = float(np.mean(h_all))
-        direct_se = float(np.std(h_all) / math.sqrt(len(h_all)))
+        rep["direct_mean"] = float(np.mean(h_all))
+        rep["direct_se"] = float(np.std(h_all) / math.sqrt(len(h_all)))
 
     if "unconditional" in checks:
-        comp, acc_rate = comps["unconditional"]
+        comp, rep["acceptance"] = comps["unconditional"]
         # one sample has no spread: its se of 0 would make any gap a breach
         if len(comp) < 3:
             raise ConditioningError(f"the unconditional check kept {len(comp)} "
                                     f"composite samples; it needs at least 3")
-        comp_mean = float(np.mean(comp))
-        comp_se = float(np.std(comp) / math.sqrt(len(comp)))
-        z_unc = (direct_mean - comp_mean) / math.hypot(direct_se, comp_se)
+        mean, se = float(np.mean(comp)), float(np.std(comp) / math.sqrt(len(comp)))
+        rep.update(composite_mean=mean, composite_se=se,
+                   z_unconditional=(rep["direct_mean"] - mean)
+                   / math.hypot(rep["direct_se"], se))
 
     if "swap" in checks:
         comp_a, acc_a = comps["plain"]
         comp_sw, _ = comps["swapped"]
-        if math.isnan(acc_rate):
-            acc_rate = acc_a
+        rep.setdefault("acceptance", acc_a)
         k = min(len(comp_a), len(comp_sw))
         # two samples have equal squared deviations: no variance error
         if k < 3:
@@ -809,11 +795,11 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         za = comp_a[:k]
         zb = comp_sw[:k]
         se_m = math.hypot(float(np.std(za)), float(np.std(zb))) / math.sqrt(k)
-        z_swap_mean = float((np.mean(za) - np.mean(zb)) / se_m)
+        rep["z_swap_mean"] = float((np.mean(za) - np.mean(zb)) / se_m)
         va, vb = float(np.var(za)), float(np.var(zb))
         se_v = math.hypot(float(np.std((za - za.mean()) ** 2)),
                           float(np.std((zb - zb.mean()) ** 2))) / math.sqrt(k)
-        z_swap_var = float((va - vb) / se_v)
+        rep["z_swap_var"] = (va - vb) / se_v
 
     if "bookkeeping" in checks:
         # e^{aT} E[e^{-H_T} e^{-rho(a) B_T}; B_T >= 0] from the direct paths
@@ -821,16 +807,10 @@ def rayknight_consistency(a: float, cfg: PolymerConfig,
         w[endp < 0.0] = 0.0
         lhs, lhs_se = float(np.mean(w)), float(np.std(w) / math.sqrt(len(w)))
         rhs, rhs_se = comps["bookkeeping"]
-        z_book = (lhs - rhs) / math.hypot(lhs_se, rhs_se)
+        rep.update(lhs=lhs, lhs_se=lhs_se, rhs=rhs, rhs_se=rhs_se,
+                   z_bookkeeping=(lhs - rhs) / math.hypot(lhs_se, rhs_se))
 
-    return RayKnightReport(
-        direct_mean=direct_mean, direct_se=direct_se,
-        composite_mean=comp_mean, composite_se=comp_se,
-        z_unconditional=float(z_unc),
-        z_swap_mean=z_swap_mean, z_swap_var=z_swap_var,
-        lhs=float(lhs), lhs_se=float(lhs_se),
-        rhs=float(rhs), rhs_se=float(rhs_se),
-        z_bookkeeping=float(z_book), acceptance=float(acc_rate))
+    return RayKnightReport(**rep)
 
 
 def _bookkeeping_rhs(a: float, sol, cfg: PolymerConfig):
@@ -853,12 +833,13 @@ def _bookkeeping_rhs(a: float, sol, cfg: PolymerConfig):
     t1 = a1
 
     # middle: weighted two-dimensional profile from the same x0,
-    # read at the space points where its area hits T - t1 - t2c
+    # read at the space points where its area hits T - t1 - t2c; one row
+    # per bin, so the per-step readout runs along the paths
     n_bins = max(8, int(math.ceil(T / 0.25)))
     width = T / n_bins
     t2c = (np.arange(n_bins) + 0.5) * width
-    s_targets = T - t1[:, None] - t2c[None, :]
-    valid = (s_targets > 0.0) & ~alive1[:, None]
+    s_targets = T - t1 - t2c[:, None]
+    valid = (s_targets > 0.0) & ~alive1
 
     # the exponential reweighting is absorbed into the dynamics: evolve the
     # eigenfunction-tilted diffusion (drift 2 + 4h d/dh log x_a, diffusion
@@ -870,48 +851,35 @@ def _bookkeeping_rhs(a: float, sol, cfg: PolymerConfig):
     x = x0
     area = np.zeros(n)
     u = 0.0
-    y_read = np.zeros((n, n_bins))
-    got = np.zeros((n, n_bins), dtype=bool)
-    ptr = np.zeros(n, dtype=int)  # next area target per row, smallest first
-    order = np.argsort(s_targets, axis=1)  # area is increasing, so
-    s_sorted = np.take_along_axis(s_targets, order, axis=1)  # cross in order
+    y_read = np.zeros((n_bins, n))
+    got = np.zeros((n_bins, n), dtype=bool)
     max_u = 80.0
     while u < max_u:
         drift = np.clip(2.0 + 4.0 * x * np.interp(x, hv, vv), -200.0, 50.0)
         x = _besq_step(g, x, cfg.dt, drift, area)
         u += cfg.dt
-        crossed = np.flatnonzero((ptr < n_bins)
-                                 & (area >= s_sorted[np.arange(n),
-                                                     np.minimum(ptr, n_bins - 1)]))
-        while len(crossed):
-            rows = crossed
-            cols = order[rows, ptr[rows]]
-            y_read[rows, cols] = x[rows]
-            got[rows, cols] = True
-            ptr[rows] += 1
-            crossed = rows[(ptr[rows] < n_bins)
-                           & (area[rows] >= s_sorted[rows,
-                                                     np.minimum(ptr[rows],
-                                                                n_bins - 1)])]
-        if np.all(ptr >= n_bins):
+        # area never decreases: read each (path, bin) at its first crossing
+        hit = (area >= s_targets) & ~got
+        np.copyto(y_read, x, where=hit)
+        got |= hit
+        if got.all():
             break
     # piece 2 per (path, bin): absorbed profile from the read level,
     # keeping only draws whose area lands in the bin
     contrib = np.zeros(n)
     for j in range(n_bins):
-        ok = valid[:, j] & got[:, j] & (y_read[:, j] > 0.0)
+        ok = valid[j] & got[j] & (y_read[j] > 0.0)
         if not np.any(ok):
             continue
         rows = np.flatnonzero(ok)
-        a2, q2, alive2 = _absorbed_run(g, y_read[rows, j],
-                                       _coarsening_stages(cfg.dt))
+        y_lvl = y_read[j, rows]
+        a2, q2, alive2 = _absorbed_run(g, y_lvl, _coarsening_stages(cfg.dt))
         hit = ((~alive2) & (np.abs(a2 - t2c[j]) <= width / 2.0)
                & (t1[rows] + a2 <= T))
-        xa_y = np.maximum(np.interp(y_read[rows, j], sol.h, sol.x), 1e-300)
+        xa_y = np.maximum(np.interp(y_lvl, sol.h, sol.x), 1e-300)
         # the time change ds = X dy turns the area-crossing readout into a
         # density with one extra power of the read level, so the kernel at
         # the far piece is divided by Y_s as well as by x_a(Y_s)
-        y_lvl = y_read[rows, j]
         term = np.where(
             hit,
             np.exp(a * (t1[rows] + a2) - q1[rows] - q2)

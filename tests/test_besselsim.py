@@ -300,6 +300,13 @@ class TestSimulateTilted:
             simulate_tilted(-5.0, 8.0, 1.0,
                             SimConfig(dt=5e-3, n_paths=5000, seed=41))
 
+    def test_start_beyond_the_box_trips_the_gate(self):
+        # x_a is 0 beyond h_max (12.92 at a = 2): the log-weights are +inf
+        # and the ESS nan
+        with pytest.raises(DegeneracyError):
+            simulate_tilted(2.0, 13.0, 0.05,
+                            SimConfig(dt=1e-2, n_paths=200, seed=1))
+
     def test_domain_errors(self):
         cfg = SimConfig(dt=1e-2, n_paths=10, seed=0)
         with pytest.raises(DomainError):

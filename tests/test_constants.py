@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import edwards1d
+from edwards1d import cli
 from edwards1d.airy import airy_zeros
 from edwards1d.constants import ModelConstants, compute_constants, fingerprint
 from edwards1d.sturm import eigenvalue, principal_eigen, rho_derivative
@@ -126,6 +127,21 @@ def test_stale_cache_ignored(tmp_path, monkeypatch):
     rows += [(name, format(val, ".17g")) for name, val in PINS.items()]
     path.write_text("".join(f"{k},{v}\n" for k, v in rows))
     assert compute_constants() == compute_constants(use_cache=False)
+
+
+@pytest.mark.parametrize("var", ["EDWARDS1D_CONSTANTS_CACHE", "XDG_CACHE_HOME"])
+def test_unwritable_cache_is_skipped(tmp_path, monkeypatch, capsys, var):
+    # a cache location under a regular file can be neither read nor
+    # written; the constants are still computed and reported
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.delenv("EDWARDS1D_CONSTANTS_CACHE")
+    target = blocker / "c.csv" if var == "EDWARDS1D_CONSTANTS_CACHE" else blocker
+    monkeypatch.setenv(var, str(target))
+    assert compute_constants() == compute_constants(use_cache=False)
+    assert cli.main(["constants"]) == 0
+    assert "a_star" in capsys.readouterr().out
+    assert blocker.read_text() == ""
 
 
 def test_fingerprint_follows_the_source(tmp_path):

@@ -254,6 +254,15 @@ class TestDegeneracy:
         with pytest.raises(DegeneracyError):
             sample_polymer(cfg)
 
+    @pytest.mark.parametrize("beta", [1000.0, 2000.0])
+    def test_underflowed_weights_trip_the_gate(self, beta):
+        # at beta = 1000 the squared weights underflow and the ESS is nan;
+        # at 2000 every weight does, and log Z would be log(0)
+        cfg = PolymerConfig(T=1.0, beta=beta, dt=1e-4, bin=0.01,
+                            n_paths=200, seed=0)
+        with pytest.raises(DegeneracyError):
+            sample_polymer(cfg)
+
 
 class TestChunkIndependence:
     def test_first_chunk_rows_do_not_depend_on_n(self):
@@ -522,6 +531,12 @@ class TestRayKnight:
     def test_acceptance_is_healthy(self, rk_report):
         assert rk_report.acceptance > 0.01
 
+    def test_unselected_checks_read_nan(self, rk_report):
+        # the CLI leaves a non-finite z out of its verdict
+        assert math.isnan(rk_report.lhs)
+        assert math.isnan(rk_report.rhs)
+        assert math.isnan(rk_report.z_bookkeeping)
+
     def test_bookkeeping_identity_balances(self):
         cfg = PolymerConfig(T=3.0, beta=1.0, dt=0.0016, bin=0.04,
                             n_paths=100_000, seed=23)
@@ -530,6 +545,10 @@ class TestRayKnight:
         # both sides separately near the T -> infinity plateau
         assert 1.3 < rep.lhs < 1.9
         assert 1.3 < rep.rhs < 1.9
+        # the unselected checks read nan
+        assert math.isnan(rep.composite_mean)
+        assert math.isnan(rep.z_swap_mean)
+        assert math.isnan(rep.acceptance)
 
     def test_unknown_check_rejected(self):
         with pytest.raises(DomainError):
