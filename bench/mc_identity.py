@@ -20,9 +20,13 @@ plain composite run), plus the rate layer: ``constants``, ``rate-curve``
 and ``mgf-curve`` at their defaults and ``legendre_check`` at the
 benchmark's b = 1.25, 1.5 and 2.0, and the deterministic solvers:
 ``principal_eigen`` at a = -1e4, -3, 0, 2 and 60, ``rho_derivative(2.0)``,
-``compute_constants(use_cache=False)`` and ``eigen --a 1``.  Each side
-computes its constants cold, into a cache file of its own.  Each side takes
-about 6 minutes on a 2-vCPU Xeon virtual machine.
+``compute_constants(use_cache=False)`` and ``eigen --a 1``, and the
+functions whose tolerances are module constants: ``w_eval`` on the
+benchmark's 161-point grid at t = 0.5 and its 6,001-point grid at t = 2,
+``min_time(200)``, ``laplace_reconstruct(1.25, 1.0)``,
+``lambda_from_rate(1.0)`` and the message of ``lambda_from_rate(13.0)``'s
+DomainError.  Each side computes its constants cold, into a cache file of
+its own.  Each side takes about 6 minutes on a 2-vCPU Xeon virtual machine.
 """
 
 import argparse
@@ -63,8 +67,9 @@ def cases():
                                      rayknight_consistency, sample_polymer,
                                      sample_polymer_sequential, scaling_collapse,
                                      tilted_mgf)
-    from edwards1d.errors import HorizonError
-    from edwards1d.rate import legendre_check
+    from edwards1d.errors import DomainError, HorizonError
+    from edwards1d.rate import lambda_from_rate, legendre_check
+    from edwards1d.spectral import laplace_reconstruct, min_time, w_eval
     from edwards1d.sturm import principal_eigen, rho_derivative
 
     sim = SimConfig
@@ -85,11 +90,11 @@ def cases():
         return {f: getattr(sol, f)
                 for f in ("a", "rho", "rho1", "h", "x", "weights", "h_max")}
 
-    def horizon(fn, *args):
+    def raised(error, fn, *args):
         try:
             fn(*args)
-        except HorizonError:
-            return "HorizonError"
+        except error as exc:
+            return f"{type(exc).__name__}: {exc}"
         return "no error"
 
     n_odd = 2 * CHUNK + 37
@@ -112,8 +117,6 @@ def cases():
             0, 0.7, 0.1234, sim(dt=1e-2, n_paths=3000, seed=6)),
         "besq_dim2_short_last_step": lambda: simulate_besq(
             2, 0.7, 0.1234, sim(dt=1e-2, n_paths=3000, seed=6)),
-        "besq_exact": lambda: simulate_besq(
-            0, 1.0, 0.5, sim(dt=1e-3, n_paths=n_odd, seed=13, scheme="exact_besq0")),
         "y_dt0.08": lambda: estimate_y(
             0.0, 1.0, sim(dt=0.08, n_paths=400_000, seed=31)),
         "y_dt0.04": lambda: estimate_y(
@@ -132,10 +135,10 @@ def cases():
             1.0, edges, sim(dt=2e-3, n_paths=50_000, seed=44)),
         "w_dt0.003": lambda: estimate_w(
             0.7, [0.1, 0.3, 0.9], sim(dt=0.003, n_paths=9000, seed=5)),
-        "y_horizon": lambda: horizon(
-            estimate_y, 0.0, 1.0, sim(dt=1e-6, n_paths=100, seed=0)),
-        "w_horizon": lambda: horizon(
-            estimate_w, 1.0, [0.2, 0.4], sim(dt=1e-6, n_paths=100, seed=0)),
+        "y_horizon": lambda: raised(
+            HorizonError, estimate_y, 0.0, 1.0, sim(dt=1e-6, n_paths=100, seed=0)),
+        "w_horizon": lambda: raised(
+            HorizonError, estimate_w, 1.0, [0.2, 0.4], sim(dt=1e-6, n_paths=100, seed=0)),
         "tilted_h1": lambda: simulate_tilted(
             2.0, 1.0, 1.0, sim(dt=1e-3, n_paths=n_odd, seed=22),
             record_times=[0.25, 0.5, 1.0]),
@@ -179,6 +182,13 @@ def cases():
         "rho_derivative_2": lambda: rho_derivative(2.0),
         "constants_cold": lambda: compute_constants(use_cache=False),
         "cli_eigen_a1": lambda: run_cli("eigen", "--a", "1"),
+        "w_eval_161_t0.5": lambda: w_eval(np.linspace(0.0, 8.0, 161), 0.5),
+        "w_eval_6001_t2": lambda: w_eval(np.linspace(0.0, 30.0, 6001), 2.0),
+        "min_time_200": lambda: min_time(200),
+        "laplace_1.25_a1": lambda: laplace_reconstruct(1.25, 1.0),
+        "lambda_from_rate_1": lambda: lambda_from_rate(1.0),
+        "lambda_from_rate_13_message": lambda: raised(
+            DomainError, lambda_from_rate, 13.0),
     }
     return c
 

@@ -51,26 +51,25 @@ from .sturm import principal_eigen
 
 CHUNK = 4096
 
-_SCHEMES = ("euler_abs", "exact_besq0")
-
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs shared by every simulator in this module."""
+    """Step size, path count and seed shared by every simulator in this module.
+
+    The seed is an integer in [0, 2**63); with the chunk index it keys the
+    Philox stream of each chunk of paths.
+    """
     dt: float = 1e-3
     n_paths: int = 10000
     seed: int = 0
-    scheme: str = "euler_abs"
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise DomainError(f"dt must be positive, got {self.dt!r}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if not (0 <= int(self.seed) < 2 ** 63):
-            raise DomainError("seed must fit in 63 bits")
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        if not (0 <= int(self.seed) < 2 ** 63) or int(self.seed) != self.seed:
+            raise DomainError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -82,20 +81,10 @@ class McEstimate:
 
 
 @dataclass(frozen=True)
-class PathFunctionalSample:
-    """One path's terminal state and accumulated functionals."""
-    terminal: float
-    additive: float
-    quad: float
-    absorbed_at: float | None
-
-
-@dataclass(frozen=True)
 class PathFunctionalBatch:
-    """Vectorized stream of path functionals; iterate for scalar samples.
+    """Terminal states and accumulated functionals, one entry per path.
 
-    absorbed_at is nan for paths never absorbed (and for the exact
-    terminal-law scheme, which does not resolve absorption times).
+    absorbed_at is nan for paths never absorbed.
     """
     terminal: np.ndarray
     additive: np.ndarray
@@ -107,16 +96,6 @@ class PathFunctionalBatch:
 
     def __len__(self) -> int:
         return len(self.terminal)
-
-    def __iter__(self):
-        for i in range(len(self.terminal)):
-            t_abs = self.absorbed_at[i]
-            yield PathFunctionalSample(
-                terminal=float(self.terminal[i]),
-                additive=float(self.additive[i]),
-                quad=float(self.quad[i]),
-                absorbed_at=None if math.isnan(t_abs) else float(t_abs),
-            )
 
 
 def _rng(seed: int, chunk: int) -> np.random.Generator:
@@ -361,10 +340,6 @@ def simulate_besq(dim: int, h0: float, t_end: float, cfg: SimConfig) -> PathFunc
     resolution.  Dimension 2 clamps at 0 (entrance boundary, never
     absorbed).  The functionals A = int X dv and Q = int X^2 dv
     accumulate by the trapezoid rule.
-
-    With scheme exact_besq0 and dim 0 the terminal value is drawn from
-    the exact transition law (Poisson number of Gamma summands plus an
-    atom at 0); functionals and absorption times are nan in that case.
     """
     if dim not in (0, 2):
         raise DomainError(f"dim must be 0 or 2, got {dim!r}")
@@ -374,25 +349,6 @@ def simulate_besq(dim: int, h0: float, t_end: float, cfg: SimConfig) -> PathFunc
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be positive, got {t_end!r}")
-
-    n = cfg.n_paths
-    if cfg.scheme == "exact_besq0":
-        if dim != 0:
-            raise DomainError("scheme exact_besq0 requires dim 0")
-
-        def exact_chunk(g, m):
-            counts = g.poisson(h0 / (2.0 * t_end), size=m)
-            vals = np.zeros(m)
-            hit = counts > 0
-            if np.any(hit):
-                vals[hit] = g.gamma(counts[hit].astype(float)) * 2.0 * t_end
-            return (vals,)
-
-        terminal, = _chunks(n, cfg.seed, exact_chunk)
-        nanarr = np.full(n, np.nan)
-        return PathFunctionalBatch(terminal=terminal, additive=nanarr.copy(),
-                                   quad=nanarr.copy(), absorbed_at=nanarr,
-                                   dt=cfg.dt, t_end=t_end, seed=cfg.seed)
 
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
 
@@ -412,7 +368,7 @@ def simulate_besq(dim: int, h0: float, t_end: float, cfg: SimConfig) -> PathFunc
             t += dt
         return x, a_acc, q_acc, t_abs
 
-    terminal, additive, quad, absorbed = _chunks(n, cfg.seed, euler_chunk)
+    terminal, additive, quad, absorbed = _chunks(cfg.n_paths, cfg.seed, euler_chunk)
     return PathFunctionalBatch(terminal=terminal, additive=additive, quad=quad,
                                absorbed_at=absorbed, dt=cfg.dt, t_end=t_end,
                                seed=cfg.seed)
@@ -629,7 +585,9 @@ def simulate_tilted(a: float, h0, t_end: float, cfg: SimConfig,
     a mean-one martingale; weighted averages of path functionals give
     expectations under the transformed diffusion.  h0 may be a number
     or "equilibrium", which draws X_0 from x_a(h)^2 dh so the weighted
-    law is stationary.  Log-weights are accumulated throughout.
+    law is stationary.  Log-weights are accumulated throughout.  A fixed
+    h0 must lie below the eigenfunction's box principal_eigen(a).h_max;
+    DomainError otherwise.
 
     Raises DegeneracyError when the effective sample size at the final
     recorded time drops below 1% of n_paths.
@@ -655,6 +613,10 @@ def simulate_tilted(a: float, h0, t_end: float, cfg: SimConfig,
         h0 = float(h0)
         if not (math.isfinite(h0) and h0 >= 0.0):
             raise DomainError(f"h0 must be finite and >= 0, got {h0!r}")
+        # x_a is 0 from the edge of the solver box on, so no weight is defined
+        if h0 >= sol.h_max:
+            raise DomainError(f"h0 = {h0!r} lies at or beyond the solver box "
+                              f"h_max = {sol.h_max:.4g} at a = {a:g}")
 
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
     rec_steps = np.minimum(np.round(times / cfg.dt).astype(int), n_steps)

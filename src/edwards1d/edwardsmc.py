@@ -70,8 +70,8 @@ class PolymerConfig:
             raise DomainError(f"T/dt = {n_steps} is not an integer")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if not (0 <= int(self.seed) < 2 ** 63):
-            raise DomainError("seed must fit in 63 bits")
+        if not (0 <= int(self.seed) < 2 ** 63) or int(self.seed) != self.seed:
+            raise DomainError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -259,7 +259,8 @@ def _polymer_estimate(cfg: PolymerConfig, h: np.ndarray,
     w = np.exp(-cfg.beta * h)
     mean_w = float(np.mean(w))
     se_w = float(np.std(w) / math.sqrt(n))
-    ess = float(np.sum(w) ** 2 / np.sum(w * w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ess = float(np.sum(w) ** 2 / np.sum(w * w))
     # not >=, so that a nan (every weight, or its square, underflowed) fails
     if not ess >= 1e-3 * n:
         raise DegeneracyError(

@@ -23,9 +23,9 @@ section) over a, one eigensolve per point.  `legendre_check` computes
 sup_mu (b mu - lambda_plus(mu)) as sup_{a <= a_2star} (a - b rho(a)),
 since mu = -rho(a) increases in a and lambda_plus(-rho(a)) = -a; it never
 uses rho'(a_b) = 1/b, so it is a route to I independent of `rate_I`.
-`lambda_from_rate` computes sup_{b <= b_hi} (mu b - I(b)) with I on the
+`lambda_from_rate` computes sup_{b <= 12} (mu b - I(b)) with I on the
 envelope as the curve b = 1/rho'(a), I = a - b rho(a); it raises
-DomainError when the supremum lies beyond b_hi.
+DomainError when the supremum lies beyond b = 12.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ class LegendreReport:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _N_GRID = 25  # coarse scan of the duality checks before the golden search
+_B_HI = 12.0  # lambda_from_rate's upper end of b, far above b_2star = 0.858
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -174,27 +175,24 @@ def legendre_check(b: float, consts: ModelConstants | None = None) -> LegendreRe
                           gap=abs(direct - dual), mu_argmax=mu_best)
 
 
-def lambda_from_rate(mu: float, consts: ModelConstants | None = None,
-                     b_hi: float = 12.0) -> float:
-    """Involution partner: recompute lambda_plus as sup_{b <= b_hi} (mu b - I(b)).
+def lambda_from_rate(mu: float, consts: ModelConstants | None = None) -> float:
+    """Involution partner: recompute lambda_plus as sup_{b <= 12} (mu b - I(b)).
 
     The linear segment is maximised in closed form and the envelope over a
-    in [a(b_hi), a_2star], where mu b - I = (mu + rho(a)) / rho'(a) - a.
-    Raises DomainError when mu > -rho(a(b_hi)), the supremum past b_hi,
-    and when b_hi <= b_2star, where the envelope is empty.
+    in [a(12), a_2star], where mu b - I = (mu + rho(a)) / rho'(a) - a.
+    Raises DomainError when mu > -rho(a(12)), where the supremum lies
+    past b = 12 (mu above 11.986).
     """
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu!r}")
     consts = _resolve(consts)
-    if not b_hi > consts.b_2star:
-        raise DomainError(f"b_hi must exceed b_2star = {consts.b_2star:.9g}, got {b_hi!r}")
     a_2s = consts.a_2star
     linear = max(-a_2s, consts.b_2star * (mu + consts.rho_2star) - a_2s)
-    a_lo = _a_of_b(b_hi, consts)
+    a_lo = _a_of_b(_B_HI, consts)
     mu_max = -_rho(a_lo)
     if mu > mu_max:
-        raise DomainError(f"lambda_from_rate with b_hi = {b_hi:g} requires "
+        raise DomainError(f"lambda_from_rate with b_hi = {_B_HI:g} requires "
                           f"mu <= {mu_max:.9g}, got {mu!r}")
     def g(a):
         rho, rho1 = eigenvalue(a)

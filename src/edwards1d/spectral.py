@@ -42,8 +42,12 @@ from .errors import AccuracyError, DomainError
 GREEN_K = -CBRT2 * math.pi / 2.0
 
 
+# w_eval's truncation gate: AccuracyError when the tail bound of its K
+# terms exceeds this
+W_TOL = 1e-8
+
 # w_eval leaves out the terms whose summed tail bound is below this; it is
-# far below the 1e-8 default `tol` and at the rounding level of w = O(1).
+# far below W_TOL and at the rounding level of w = O(1).
 W_TERM_FLOOR = 1e-17
 
 _GAMMA_3_2 = math.sqrt(math.pi) / 2.0  # Gamma(3/2)
@@ -142,37 +146,37 @@ def _terms_needed(K: int, t: float, bound: float) -> int:
     return max(1, int(np.count_nonzero(tails > W_TERM_FLOOR)))
 
 
-def min_time(K: int, tol: float = 1e-8) -> float:
-    """Smallest t at which the K-term truncation meets `tol`."""
+def min_time(K: int) -> float:
+    """Smallest t at which the K-term truncation tail is at most W_TOL."""
     lo, hi = 1e-4, 50.0
-    if w_tail_bound(K, hi) > tol:
-        raise AccuracyError(f"tol {tol:g} unreachable with K={K}", bound=w_tail_bound(K, hi))
+    if w_tail_bound(K, hi) > W_TOL:
+        raise AccuracyError(f"tol {W_TOL:g} unreachable with K={K}", bound=w_tail_bound(K, hi))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if w_tail_bound(K, mid) > tol:
+        if w_tail_bound(K, mid) > W_TOL:
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def w_eval(h, t: float, K: int = 200, tol: float = 1e-8):
+def w_eval(h, t: float, K: int = 200):
     """Time-domain kernel w(h, t) by truncated eigenexpansion.
 
     K is the cap on the number of terms.  Raises AccuracyError (carrying
     the bound w_tail_bound(K, t)) when the truncation tail at this t
-    exceeds `tol`.  Of the K terms only the first K' are summed: the
-    terms beyond K' are left out once their tail bound is below
-    W_TERM_FLOOR = 1e-17, which at t >= 0.5 is most of them (K' = 110 at
-    t = 0.5, 13 at t = 2).
+    exceeds W_TOL = 1e-8, that is for t below min_time(K).  Of the K
+    terms only the first K' are summed: the terms beyond K' are left out
+    once their tail bound is below W_TERM_FLOOR = 1e-17, which at
+    t >= 0.5 is most of them (K' = 110 at t = 0.5, 13 at t = 2).
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"w_eval requires t > 0, got {t!r}")
     bound = w_tail_bound(K, t)
-    if bound > tol:
+    if bound > W_TOL:
         raise AccuracyError(
-            f"truncation tail {bound:.3g} exceeds tol {tol:g} at t={t:g}; "
+            f"truncation tail {bound:.3g} exceeds tol {W_TOL:g} at t={t:g}; "
             f"increase K or t", bound=bound)
     zeros, lams, cs, _, gam = _basis_arrays(K)
     h_arr = np.atleast_1d(np.asarray(h, dtype=float))
@@ -185,7 +189,7 @@ def w_eval(h, t: float, K: int = 200, tol: float = 1e-8):
     return out if np.ndim(h) else float(out[0])
 
 
-def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
+def laplace_reconstruct(h, a: float, K: int = 200):
     """Termwise Laplace transform of the w expansion:
 
         int_0^inf e^{a t} w(h, t) dt = sum_k gamma_k e_k(h) / (-(a + lam_k)),
@@ -202,8 +206,8 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
     basis terms is summed from asymptotic zeros and the asymptotic
     oscillatory form of Ai.  The bias is the mass of w on [0, eps], below
     e^{a eps} erfc(h / sqrt(8 eps)) since w(h, .) is dominated by the
-    level-h first-passage density; eps defaults to h^2/88, making that
-    bound about 5e-6 relative to y_a(h) = O(1).
+    level-h first-passage density; eps = h^2/88 makes that bound about
+    5e-6 relative to y_a(h) = O(1).
 
     Tolerance of the tail.  Its k-th term is 2^{1/3} Ai(x_k) / Ai'(a_k)
     times e^{(a + lam_k) eps} / -(a + lam_k), with x_k = a_k + 2^{-1/3} h.
@@ -234,7 +238,7 @@ def laplace_reconstruct(h, a: float, K: int = 200, eps: float | None = None):
     zeros, lams, _, aip, _ = _basis_arrays(K)
     out = np.empty(h_arr.shape)
     for i, hv in enumerate(h_arr):
-        ev = (hv * hv) / 88.0 if eps is None else float(eps)
+        ev = (hv * hv) / 88.0
         # exact part: the first K basis terms, Abel-damped
         args = INV_CBRT2 * hv + zeros
         ai = airy_batch(args)[0]

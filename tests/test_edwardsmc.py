@@ -10,6 +10,7 @@ seed-pinned regressions, not claims about the T -> infinity limits.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ class TestPolymerConfig:
             PolymerConfig(T=2.0, beta=1.0, dt=0.004, bin=0.1, n_paths=0, seed=0)
         with pytest.raises(DomainError):
             PolymerConfig(T=2.0, beta=1.0, dt=0.004, bin=0.1, n_paths=10, seed=-1)
+        with pytest.raises(DomainError):
+            PolymerConfig(T=2.0, beta=1.0, dt=0.004, bin=0.1, n_paths=10, seed=2.7)
 
     def test_step_must_resolve_bin(self):
         # dt <= bin^2 keeps the per-step displacement below the bin scale
@@ -257,11 +260,14 @@ class TestDegeneracy:
     @pytest.mark.parametrize("beta", [1000.0, 2000.0])
     def test_underflowed_weights_trip_the_gate(self, beta):
         # at beta = 1000 the squared weights underflow and the ESS is nan;
-        # at 2000 every weight does, and log Z would be log(0)
+        # at 2000 every weight does, and log Z would be log(0); neither
+        # prints a numpy warning before the error
         cfg = PolymerConfig(T=1.0, beta=beta, dt=1e-4, bin=0.01,
                             n_paths=200, seed=0)
-        with pytest.raises(DegeneracyError):
-            sample_polymer(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegeneracyError):
+                sample_polymer(cfg)
 
 
 class TestChunkIndependence:

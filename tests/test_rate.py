@@ -155,8 +155,6 @@ def test_involution_fails_past_b_hi():
     # returned 83.83 against lambda_plus(13) = 84.35
     with pytest.raises(DomainError, match="mu <="):
         lambda_from_rate(13.0, consts=C)
-    with pytest.raises(DomainError, match="b_hi"):
-        lambda_from_rate(0.0, consts=C, b_hi=1.0)
 
 
 def test_legendre_check_fails_when_unbracketed(monkeypatch):

@@ -149,12 +149,6 @@ class TestLaplaceConsistency:
         rec = laplace_reconstruct(0.3, 0.0, K=200)
         assert abs(rec - y) / y < 1e-3
 
-    def test_eps_override_matches_default(self):
-        h = 1.0
-        rec_default = laplace_reconstruct(h, 0.5, K=200)
-        rec_explicit = laplace_reconstruct(h, 0.5, K=200, eps=h * h / 88.0)
-        assert rec_default == rec_explicit
-
     def test_abel_tail_error_bound(self):
         # the docstring's bound on the evaluation error of the asymptotic
         # tail, against the criterion-6 gate of 1e-3 relative
